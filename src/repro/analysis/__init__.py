@@ -7,8 +7,7 @@ machine instead of by convention:
   *compute* (paper Section 5), expressed through ``STORAGE_DTYPE`` /
   ``COMPUTE_DTYPE`` in :mod:`repro.physics.state`;
 * **stencil geometry** -- the WENO5 ghost width of exactly
-  :data:`repro.core.block.GHOSTS` cells and the 6-slice ring buffers of
-  :data:`repro.core.ringbuffer.RING_DEPTH`;
+  :data:`repro.core.block.GHOSTS` cells;
 * **numerical sanity** -- the quasi-conservative (Gamma, Pi) advection
   must never produce NaN/Inf, negative density or negative pressure
   mid-collapse.

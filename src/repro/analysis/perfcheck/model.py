@@ -52,14 +52,12 @@ class KernelSpec:
 #: backend tuple means the kernel is intended for nopython compilation
 #: and must stay inside the compiled subset (rules CP004/CP005);
 #: numpy-only kernels use constructs the vectorized fallback needs
-#: (moveaxis wrappers, ring buffers, closures) and are exempt from
+#: (moveaxis wrappers, closures) and are exempt from
 #: subset certification by declaration rather than by pragma.
 HOT_KERNELS: tuple[KernelSpec, ...] = (
     # physics.weno -- the WENO stage dominates the RHS (83 % of its
     # instructions, paper Table 8).
     KernelSpec("weno5", "physics/weno.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "weno5"),
-    KernelSpec("weno5_fused", "physics/weno.py",
                (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "weno5"),
     KernelSpec("weno3", "physics/weno.py",
                (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, None),
@@ -88,11 +86,9 @@ HOT_KERNELS: tuple[KernelSpec, ...] = (
                (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, None),
     KernelSpec("compute_rhs", "physics/equations.py",
                (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, None),
-    # core.kernels -- block-level wrappers (AoS/SoA conversion, ring
-    # buffers: numpy-only by design) and the UP stage.
+    # core.kernels -- block-level wrappers (AoS/SoA conversion:
+    # numpy-only by design) and the UP stage.
     KernelSpec("rhs_kernel", "core/kernels.py",
-               (BACKEND_NUMPY,), _AOS_IN, None),
-    KernelSpec("rhs_kernel_slices", "core/kernels.py",
                (BACKEND_NUMPY,), _AOS_IN, None),
     KernelSpec("sos_kernel", "core/kernels.py",
                (BACKEND_NUMPY,), _AOS_IN, None),

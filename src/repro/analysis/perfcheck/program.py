@@ -143,7 +143,7 @@ def _callees(fn: ast.AST, functions: dict[str, FunctionEntry]) -> set[str]:
     Only ``Name`` call targets resolve: kernel helpers are module-level
     functions called by bare name, while attribute calls are either
     ``np.*`` ufuncs or method calls on runtime objects (sanitizers,
-    ring buffers) that are not kernel arithmetic.
+    tracers) that are not kernel arithmetic.
     """
     out: set[str] = set()
     for node in ast.walk(fn):

@@ -13,8 +13,8 @@ backends the roadmap targets:
   that promotes every float32 expression it touches.
 * **CP003 hidden-temporaries** -- a kernel-path function allocates many
   intermediate arrays per call with (almost) no ``out=`` / workspace /
-  in-place discipline, against the ``Weno5Workspace`` / ``SliceRing``
-  idiom of the fused kernels.
+  in-place discipline, against the out=/workspace idiom of the
+  micro-fused ``weno5`` kernel.
 * **CP004 compiled-subset** -- a kernel declared for the ``numba``
   backend contains constructs nopython mode cannot lower (try/except,
   closures, generator expressions, dict/list juggling, dict-of-functions
@@ -255,7 +255,7 @@ class HiddenTemporaries(PerfRule):
     name = "hidden-temporaries"
     description = (
         "kernel-path function allocating many intermediate arrays per "
-        "call with no out=/workspace reuse (Weno5Workspace idiom)"
+        "call with no out=/workspace reuse (out=/workspace idiom of weno5)"
     )
 
     def check(self, program: PerfProgram) -> Iterable[Violation]:
@@ -267,7 +267,7 @@ class HiddenTemporaries(PerfRule):
                     f"{entry.name}() allocates ~{alloc} intermediate "
                     f"arrays per call ({disciplined} disciplined ops); "
                     "thread out=/workspace buffers through the hot "
-                    "expression chain (Weno5Workspace idiom)",
+                    "expression chain (out=/workspace idiom of weno5)",
                 )
 
 

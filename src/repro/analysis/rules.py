@@ -477,41 +477,6 @@ class NoRawTimingCalls(Rule):
 
 
 @register_rule
-class RingDepthNotLiteral(Rule):
-    """CL008: ring-buffer depths must reference ``RING_DEPTH``.
-
-    The paper's streaming RHS keeps exactly ``RING_DEPTH`` (6) primitive
-    z-slices resident -- the WENO5 z-face stencil.  Constructing a
-    ``SliceRing`` with a literal depth detaches the buffer from the
-    stencil it exists to serve.
-    """
-
-    rule_id = "CL008"
-    name = "literal-ring-depth"
-    description = "SliceRing depth must be RING_DEPTH-derived, not a literal"
-
-    def check(self, source: SourceFile) -> Iterable[Violation]:
-        for node in ast.walk(source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            fn = node.func
-            name = fn.attr if isinstance(fn, ast.Attribute) else getattr(fn, "id", "")
-            if name != "SliceRing":
-                continue
-            depth_args = [kw.value for kw in node.keywords if kw.arg == "depth"]
-            if len(node.args) >= 2:
-                depth_args.append(node.args[1])
-            for arg in depth_args:
-                if isinstance(arg, ast.Constant) and isinstance(arg.value, int):
-                    yield self.violation(
-                        source,
-                        arg,
-                        f"literal ring depth {arg.value}; use RING_DEPTH "
-                        "from repro.core.ringbuffer",
-                    )
-
-
-@register_rule
 class BoundedRecoveryLoops(Rule):
     """CL010: resilience-critical code fails visibly and stays bounded.
 

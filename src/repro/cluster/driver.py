@@ -218,8 +218,6 @@ def rank_main(comm: SimComm, config: SimulationConfig, ic_fn,
         grid,
         boundary=config.boundary_spec(),
         dispatcher=Dispatcher(num_workers=config.num_workers),
-        fused=config.fused_weno,
-        use_slices=config.use_slices,
         order=config.weno_order,
         solver=config.riemann_solver,
         tracer=tracer,

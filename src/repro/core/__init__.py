@@ -16,11 +16,9 @@ from .block import (
 from .kernels import (
     dt_from_sos,
     rhs_kernel,
-    rhs_kernel_slices,
     sos_kernel,
     update_stage,
 )
-from .ringbuffer import RING_DEPTH, SliceRing
 from .timestepper import (
     ForwardEuler,
     LowStorageRK3,
@@ -35,16 +33,13 @@ __all__ = [
     "ForwardEuler",
     "GHOSTS",
     "LowStorageRK3",
-    "RING_DEPTH",
     "RKStage",
-    "SliceRing",
     "TimeStepper",
     "dt_from_sos",
     "fill_interior",
     "make_stepper",
     "padded_aos",
     "rhs_kernel",
-    "rhs_kernel_slices",
     "sos_kernel",
     "update_stage",
 ]

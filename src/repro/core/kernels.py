@@ -3,11 +3,12 @@
 These are the paper's performance-critical kernels (Fig. 1):
 
 * **RHS** -- evaluation of the right-hand side of the governing equations
-  for every cell average of a block.  Two functionally identical
-  implementations are provided: :func:`rhs_kernel` (whole-block
-  vectorized) and :func:`rhs_kernel_slices` (the paper's streaming z-sweep
-  over 2D slices through ring buffers).  The test suite asserts they agree
-  to round-off; benchmarks compare their cost.
+  for every cell average of a block (:func:`rhs_kernel`, whole-block
+  vectorized directional sweeps).  The paper's streaming z-sweep over a
+  ring buffer of six 2D slices is modeled analytically in
+  :mod:`repro.perf.traffic`; here the cache-blocked
+  :func:`repro.physics.weno.weno5` keeps the WENO working set
+  cache-resident instead.
 * **UP** -- the low-storage TVD Runge-Kutta update (:func:`update_stage`).
   Deliberately trivial arithmetic on large arrays: the paper reports it at
   0.2 FLOP/B and ~2 % of peak, i.e. purely memory-bound.
@@ -26,15 +27,11 @@ import numpy as np
 
 from ..physics.eos import conserved_to_primitive, max_characteristic_velocity
 from ..physics.equations import compute_rhs
-from ..physics.riemann import hlle_flux
-from ..physics.state import COMPUTE_DTYPE, GAMMA, NQ, PI
-from ..physics.weno import Weno5Workspace, weno5
-from .block import GHOSTS
-from .ringbuffer import RING_DEPTH, SliceRing
+from ..physics.state import COMPUTE_DTYPE
 
 
-def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
-               order: int = 5, solver: str = "hlle") -> np.ndarray:
+def rhs_kernel(pad_aos: np.ndarray, h: float, order: int = 5,
+               solver: str = "hlle") -> np.ndarray:
     """Whole-block vectorized RHS.
 
     Parameters
@@ -43,8 +40,9 @@ def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
         Ghost-padded AoS block data, shape ``(n+6, n+6, n+6, NQ)``.
     h:
         Grid spacing.
-    fused:
-        Use the micro-fused WENO kernel (Table 9 variant).
+    order, solver:
+        WENO order and Riemann solver, as in
+        :func:`repro.physics.equations.compute_rhs`.
 
     Returns
     -------
@@ -54,127 +52,8 @@ def rhs_kernel(pad_aos: np.ndarray, h: float, fused: bool = False,
     Upad = np.ascontiguousarray(
         np.moveaxis(pad_aos, -1, 0), dtype=COMPUTE_DTYPE
     )
-    rhs_soa = compute_rhs(Upad, h, fused=fused, order=order, solver=solver)
+    rhs_soa = compute_rhs(Upad, h, order=order, solver=solver)
     return np.ascontiguousarray(np.moveaxis(rhs_soa, 0, -1))
-
-
-def _plane_rhs(
-    W2d: np.ndarray, h: float, workspace: Weno5Workspace | None = None
-) -> np.ndarray:
-    """x- and y-sweep contributions for one padded primitive z-slice.
-
-    ``W2d`` has shape ``(NQ, n+6, n+6)`` (axes: quantity, y, x) and holds
-    primitives.  Returns the SoA contribution ``(NQ, n, n)`` of the two
-    in-plane directional sweeps (flux divergence subtracted,
-    quasi-conservative correction added).  Both sweeps reconstruct into
-    the same (optionally caller-held) :class:`Weno5Workspace`.
-    """
-    g = GHOSTS
-    inv_h = 1.0 / h
-
-    # x sweep: interior in y, padded in x; reconstruct along the last axis.
-    Wd = W2d[:, g:-g, :]
-    face_shape = Wd.shape[:-1] + (Wd.shape[-1] - 5,)
-    if workspace is None or workspace.shape != face_shape:
-        workspace = Weno5Workspace(face_shape, dtype=Wd.dtype)
-    Wm, Wp = weno5(Wd, workspace)
-    flux, ustar = hlle_flux(Wm, Wp, normal=0)
-    div = np.subtract(flux[..., 1:], flux[..., :-1])
-    div *= inv_h
-    du = np.subtract(ustar[..., 1:], ustar[..., :-1])
-    du *= inv_h
-    Wc = Wd[..., g:-g]
-    contrib = np.negative(div, out=div)
-    contrib[GAMMA] += Wc[GAMMA] * du
-    contrib[PI] += Wc[PI] * du
-    out = contrib
-
-    # y sweep: interior in x, padded in y; swap axes to sweep contiguously.
-    Wd = np.ascontiguousarray(np.swapaxes(W2d[:, :, g:-g], 1, 2))
-    Wm, Wp = weno5(Wd, workspace)
-    flux, ustar = hlle_flux(Wm, Wp, normal=1)
-    div = np.subtract(flux[..., 1:], flux[..., :-1])
-    div *= inv_h
-    du = np.subtract(ustar[..., 1:], ustar[..., :-1])
-    du *= inv_h
-    Wc = Wd[..., g:-g]
-    contrib = np.negative(div, out=div)
-    contrib[GAMMA] += Wc[GAMMA] * du
-    contrib[PI] += Wc[PI] * du
-    out += np.swapaxes(contrib, 1, 2)
-    return out
-
-
-def rhs_kernel_slices(pad_aos: np.ndarray, h: float) -> np.ndarray:
-    """Streaming RHS: the paper's ring-buffer z-sweep (Fig. 2, right).
-
-    Converts one z-slice at a time (CONV), keeps the last ``RING_DEPTH``
-    primitive slices in a :class:`SliceRing`, computes z-face fluxes
-    incrementally and finishes each output slice as soon as its upper
-    face is available.  Numerically identical to :func:`rhs_kernel`:
-    returns the AoS time derivative, shape ``(n, n, n, NQ)`` in compute
-    precision (dtype ``COMPUTE_DTYPE``).
-    """
-    m = pad_aos.shape[0]
-    n = m - 2 * GHOSTS
-    g = GHOSTS
-    inv_h = 1.0 / h
-
-    ring = SliceRing((NQ, m, m), depth=RING_DEPTH, dtype=COMPUTE_DTYPE)
-    rhs = np.empty((n, n, n, NQ), dtype=COMPUTE_DTYPE)
-
-    # Workspaces held across the sweep: one for the z-face stencils, one
-    # shared by the in-plane sweeps of every finalized slice.
-    ws_z = Weno5Workspace((NQ, n, n, 1), dtype=COMPUTE_DTYPE)
-    ws_plane = Weno5Workspace((NQ, n, n + 1), dtype=COMPUTE_DTYPE)
-
-    flux_prev: np.ndarray | None = None
-    ustar_prev: np.ndarray | None = None
-
-    for zp in range(m):
-        # CONV stage, one slice at a time.
-        Uslice = np.ascontiguousarray(
-            np.moveaxis(pad_aos[zp], -1, 0), dtype=COMPUTE_DTYPE
-        )
-        ring.push(conserved_to_primitive(Uslice))
-
-        if zp < RING_DEPTH - 1:
-            continue
-
-        # Ring now holds padded z-cells zp-5 .. zp; that is exactly the
-        # 6-cell stencil of the z-face between cells zp-3 and zp-2,
-        # i.e. global face index f = zp - 5 (0 .. n).
-        f = zp - (RING_DEPTH - 1)
-        sten = np.stack(
-            [ring[i][:, g:-g, g:-g] for i in range(RING_DEPTH)], axis=-1
-        )  # (NQ, n, n, 6)
-        Wm, Wp = weno5(sten, ws_z)
-        flux, ustar = hlle_flux(Wm[..., 0], Wp[..., 0], normal=2)
-
-        if f >= 1:
-            # Finalize output slice k = f - 1 (padded index k + GHOSTS;
-            # the ring holds slices zp-(RING_DEPTH-1) .. zp, so that
-            # center slice sits RING_DEPTH - 1 - GHOSTS slots from the
-            # oldest entry).
-            k = f - 1
-            Wcenter = ring[RING_DEPTH - 1 - GHOSTS]
-            contrib = _plane_rhs(Wcenter, h, ws_plane)
-            # The outgoing face buffers double as scratch: they are
-            # superseded by (flux, ustar) right after this block.
-            np.subtract(flux, flux_prev, out=flux_prev)
-            flux_prev *= inv_h
-            contrib -= flux_prev
-            np.subtract(ustar, ustar_prev, out=ustar_prev)
-            ustar_prev *= inv_h
-            du = ustar_prev
-            Wc_int = Wcenter[:, g:-g, g:-g]
-            contrib[GAMMA] += Wc_int[GAMMA] * du
-            contrib[PI] += Wc_int[PI] * du
-            rhs[k] = np.moveaxis(contrib, 0, -1)
-
-        flux_prev, ustar_prev = flux, ustar
-
-    return rhs
 
 
 def sos_kernel(block_aos: np.ndarray) -> float:

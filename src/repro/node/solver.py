@@ -13,7 +13,7 @@ import threading
 import numpy as np
 
 from ..core.block import GHOSTS, Block, padded_aos
-from ..core.kernels import rhs_kernel, rhs_kernel_slices, sos_kernel, update_stage
+from ..core.kernels import rhs_kernel, sos_kernel, update_stage
 from .dispatcher import Dispatcher, ScheduleStats
 from .ghosts import BoundarySpec, fill_block_ghosts
 from .grid import BlockGrid
@@ -32,11 +32,6 @@ class NodeSolver:
         ``remote_provider`` passed to :meth:`evaluate_rhs`.
     dispatcher:
         Work dispatcher (defaults to a 4-worker instrumented dispatcher).
-    fused:
-        Use the micro-fused WENO kernel.
-    use_slices:
-        Use the ring-buffer streaming RHS instead of the whole-block
-        vectorized one (identical numerics, different memory behaviour).
     tracer:
         Optional :class:`repro.telemetry.Tracer`; when set, the solver
         counts kernel work (``rhs_cell_updates``, ``up_cell_updates``,
@@ -49,8 +44,6 @@ class NodeSolver:
         grid: BlockGrid,
         boundary: BoundarySpec | None = None,
         dispatcher: Dispatcher | None = None,
-        fused: bool = False,
-        use_slices: bool = False,
         order: int = 5,
         solver: str = "hlle",
         tracer=None,
@@ -58,8 +51,6 @@ class NodeSolver:
         self.grid = grid
         self.boundary = boundary or BoundarySpec.all_extrapolate()
         self.dispatcher = dispatcher or Dispatcher(num_workers=4)
-        self.fused = fused
-        self.use_slices = use_slices
         self.order = order
         self.solver = solver
         self.tracer = tracer
@@ -84,10 +75,8 @@ class NodeSolver:
         pad = self._pad_buffer()
         pad[g:-g, g:-g, g:-g, :] = block.data
         fill_block_ghosts(pad, self.grid, block, self.boundary, remote_provider)
-        if self.use_slices:
-            return rhs_kernel_slices(pad, self.grid.h)
-        return rhs_kernel(pad, self.grid.h, fused=self.fused,
-                          order=self.order, solver=self.solver)
+        return rhs_kernel(pad, self.grid.h, order=self.order,
+                          solver=self.solver)
 
     def evaluate_rhs(
         self,

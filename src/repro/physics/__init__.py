@@ -7,7 +7,7 @@ state
 eos
     Stiffened-gas equation of state, material definitions, CONV/BACK.
 weno
-    Fifth-order WENO reconstruction (baseline + micro-fused).
+    Fifth-order WENO reconstruction (micro-fused kernel + readable oracle).
 riemann
     HLLE numerical flux with quasi-conservative Gamma/Pi transport.
 equations
@@ -56,7 +56,7 @@ from .state import (
     soa_to_aos,
     zeros_aos,
 )
-from .weno import Weno5Workspace, weno3, weno5, weno5_fused
+from .weno import weno3, weno5
 
 __all__ = [
     "ADVECTED",
@@ -83,7 +83,6 @@ __all__ = [
     "solve",
     "STORAGE_DTYPE",
     "VAPOR",
-    "Weno5Workspace",
     "aos_to_soa",
     "compute_rhs",
     "conserved_to_primitive",
@@ -101,6 +100,5 @@ __all__ = [
     "total_energy",
     "weno3",
     "weno5",
-    "weno5_fused",
     "zeros_aos",
 ]

@@ -7,9 +7,9 @@ data:
 
 ``compute_rhs`` performs the three directional sweeps over a ghost-padded
 primitive field and returns the time derivative of the conserved state.
-The core layer wraps this with block storage, AoS/SoA conversion and ring
-buffers; this module is pure array mathematics and is what integration and
-property tests validate directly.
+The core layer wraps this with block storage and AoS/SoA conversion; this
+module is pure array mathematics and is what integration and property
+tests validate directly.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .eos import conserved_to_primitive
 from .riemann import hllc_flux, hlle_flux
 from .state import GAMMA, NQ, PI
-from .weno import Weno5Workspace, weno3, weno5, weno5_fused
+from .weno import weno3, weno5
 
 #: Ghost cells required per side by the WENO5 stencil.
 STENCIL_WIDTH = 3
@@ -29,28 +29,10 @@ STENCIL_WIDTH = 3
 RIEMANN_SOLVERS = {"hlle": hlle_flux, "hllc": hllc_flux}
 
 
-def _sweep_faces(Wd: np.ndarray, fused: bool,
-                 workspace: Weno5Workspace | None, order: int = 5):
-    """WENO-reconstruct all quantities of ``Wd`` along its last axis."""
-    if order == 3:
-        return weno3(Wd)
-    if order != 5:
-        raise ValueError(f"unsupported WENO order {order}")
-    nfaces = Wd.shape[-1] - 5
-    out_shape = Wd.shape[:-1] + (nfaces,)
-    if workspace is None or workspace.shape != out_shape:
-        workspace = Weno5Workspace(out_shape, dtype=Wd.dtype)
-    if fused:
-        return weno5_fused(Wd, workspace)
-    return weno5(Wd, workspace)
-
-
 def directional_rhs(
     Wpad: np.ndarray,
     axis: int,
     h: float,
-    fused: bool = False,
-    workspace: Weno5Workspace | None = None,
     order: int = 5,
     solver: str = "hlle",
 ):
@@ -67,6 +49,8 @@ def directional_rhs(
         ``u`` respectively.
     h:
         Grid spacing.
+    order, solver:
+        As in :func:`compute_rhs`.
 
     Returns
     -------
@@ -96,10 +80,13 @@ def directional_rhs(
     # Put the sweep direction last so WENO/HLLE vectorize over contiguous
     # lines (the "directional sweeps" of the paper's computation
     # reordering).
-    Wd = np.swapaxes(Wd, sweep_axis, 3) if sweep_axis != 3 else Wd
-    W_minus, W_plus = _sweep_faces(
-        np.ascontiguousarray(Wd), fused, workspace, order=order
-    )
+    Wd = np.ascontiguousarray(np.swapaxes(Wd, sweep_axis, 3))
+    if order == 5:
+        W_minus, W_plus = weno5(Wd)
+    elif order == 3:
+        W_minus, W_plus = weno3(Wd)
+    else:
+        raise ValueError(f"unsupported WENO order {order}")
     # Explicit branch (not the RIEMANN_SOLVERS table): dict-of-functions
     # dispatch does not lower to compiled backends (perfcheck CP004).
     if solver == "hlle":
@@ -133,7 +120,6 @@ def directional_rhs(
 def compute_rhs(
     Upad: np.ndarray,
     h: float,
-    fused: bool = False,
     order: int = 5,
     solver: str = "hlle",
 ) -> np.ndarray:
@@ -146,8 +132,6 @@ def compute_rhs(
         extents), ghost cells filled by the node/cluster layers.
     h:
         Uniform grid spacing.
-    fused:
-        Use the micro-fused WENO kernel.
     order:
         Spatial reconstruction order: 5 (production) or 3 (ablation).
     solver:
@@ -164,7 +148,7 @@ def compute_rhs(
     rhs = None
     for axis in range(3):
         div, phi_corr = directional_rhs(
-            Wpad, axis, h, fused=fused, order=order, solver=solver
+            Wpad, axis, h, order=order, solver=solver
         )
         contrib = phi_corr - div
         rhs = contrib if rhs is None else rhs + contrib

@@ -2,14 +2,16 @@
 
 The RHS kernel reconstructs primitive quantities at cell faces with a
 fifth-order Weighted Essentially Non-Oscillatory scheme -- a non-linear,
-data-dependent spatial stencil (paper Section 3).  Two implementations are
-provided:
+data-dependent spatial stencil (paper Section 3).  There is one production
+kernel and one reference:
 
-* :func:`weno5` -- the readable baseline, allocating temporaries freely;
-* :func:`weno5_fused` -- a workspace-reusing variant that mirrors the
-  paper's "micro-fused" WENO kernel (Table 9): identical arithmetic, fewer
-  memory passes.  Tests assert bitwise-comparable results; the Table 9
-  benchmark measures the speedup.
+* :func:`weno5` -- the production kernel: the Jiang-Shu evaluation tree
+  issued as ``out=``-threaded ufunc calls into nine scratch buffers and
+  swept in cache-sized chunks, the NumPy analogue of the paper's
+  "micro-fused" WENO kernel (Table 9);
+* :func:`_weno5_minus_raw` -- the readable expression form of the same
+  arithmetic.  Tests assert the two are bitwise equal; the Table 9
+  benchmark measures the gain of the former over the latter.
 
 Conventions
 -----------
@@ -31,8 +33,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .state import COMPUTE_DTYPE
-
 #: Smoothness-indicator regularization of Jiang & Shu.
 WENO_EPS = 1.0e-6
 
@@ -41,6 +41,11 @@ _D0, _D1, _D2 = 0.1, 0.6, 0.3
 
 # Smoothness-indicator coefficients.
 _C13 = 13.0 / 12.0
+
+# Faces per cache block of weno5: with float64 data the nine scratch
+# buffers then total ~2.4 MB, about one core's L2.  A 16^3 block sweep
+# (7 x 16 x 16 x 17 faces) fits in a single chunk.
+_CACHE_BLOCK_FACES = 1 << 15
 
 
 def _weno5_minus_raw(a, b, c, d, e, out=None):
@@ -70,11 +75,11 @@ def _weno5_minus_raw(a, b, c, d, e, out=None):
 
 
 def _weno5_minus_ws(a, b, c, d, e, ws, out):
-    """Left-biased reconstruction into ``out`` using workspace buffers.
+    """Left-biased reconstruction into ``out`` using nine scratch buffers.
 
     Issues the *exact* evaluation tree of :func:`_weno5_minus_raw` as
     ``out=``-threaded ufunc calls, so the result is bit-identical to the
-    expression form while every temporary lives in the workspace.
+    expression form while every temporary lives in ``ws``.
     """
     t0, t1, t2, is0, is1, is2, acc, num, _ = ws
 
@@ -164,12 +169,7 @@ def _weno5_minus_ws(a, b, c, d, e, ws, out):
     return out
 
 
-def weno5(
-    v: np.ndarray,
-    workspace: "Weno5Workspace | None" = None,
-    out_minus: np.ndarray | None = None,
-    out_plus: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+def weno5(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reconstruct both face states along the last axis.
 
     Parameters
@@ -177,11 +177,6 @@ def weno5(
     v:
         Array whose last axis holds ``M >= 6`` cell averages (including
         ghosts).
-    workspace, out_minus, out_plus:
-        Optional preallocated :class:`Weno5Workspace` and output arrays
-        (shape ``v.shape[:-1] + (M - 5,)``).  Callers on the hot path
-        hold these per slice shape; passing them eliminates all per-call
-        allocations.  Results are bit-identical either way.
 
     Returns
     -------
@@ -193,162 +188,37 @@ def weno5(
     if v.shape[-1] < 6:
         raise ValueError(f"need at least 6 cells along last axis, got {v.shape[-1]}")
     nfaces = v.shape[-1] - 5
+    lines = v.reshape(-1, v.shape[-1])
+    minus = np.empty((lines.shape[0], nfaces), dtype=v.dtype)
+    plus = np.empty_like(minus)
+    _weno5_blocked(lines, minus, plus)
     out_shape = v.shape[:-1] + (nfaces,)
-    if workspace is None or workspace.shape != out_shape:
-        workspace = Weno5Workspace(out_shape, dtype=v.dtype)
-    if out_minus is None:
-        out_minus = np.empty(out_shape, dtype=v.dtype)
-    if out_plus is None:
-        out_plus = np.empty(out_shape, dtype=v.dtype)
-    a = v[..., 0:nfaces]
-    b = v[..., 1 : 1 + nfaces]
-    c = v[..., 2 : 2 + nfaces]
-    d = v[..., 3 : 3 + nfaces]
-    e = v[..., 4 : 4 + nfaces]
-    f = v[..., 5 : 5 + nfaces]
-    ws = workspace.buffers()
-    _weno5_minus_ws(a, b, c, d, e, ws, out_minus)
-    # The right-biased stencil is the mirror image of the left-biased one.
-    _weno5_minus_ws(f, e, d, c, b, ws, out_plus)
-    return out_minus, out_plus
+    return minus.reshape(out_shape), plus.reshape(out_shape)
 
 
-class Weno5Workspace:
-    """Preallocated scratch space for :func:`weno5_fused`.
+def _weno5_blocked(lines, minus, plus):
+    """Reconstruct ``lines`` into ``minus``/``plus`` block by block.
 
-    A workspace is keyed to the output shape; re-creating one per call
-    would defeat the purpose, so callers (the core-layer kernels) hold on
-    to a workspace per slice shape -- the Python analogue of the paper's
-    per-thread ring buffers.
+    Cache blocking: the lines are swept in chunks of at most
+    ``_CACHE_BLOCK_FACES`` faces, so the nine scratch buffers that hold
+    every in-flight temporary stay cache-resident.  The arithmetic is
+    elementwise, so chunking leaves the result bitwise unchanged.
     """
-
-    def __init__(self, shape: tuple[int, ...], dtype=COMPUTE_DTYPE):
-        self.shape = tuple(shape)
-        self.dtype = np.dtype(dtype)
-        # Nine scratch arrays cover the in-flight temporaries of the fused
-        # evaluation (3 smoothness indicators, 3 alphas reused as weights,
-        # 2 accumulators, 1 general-purpose buffer).
-        self._bufs = tuple(np.empty(shape, dtype=dtype) for _ in range(9))
-
-    def buffers(self) -> tuple[np.ndarray, ...]:
-        """The nine scratch buffers, in unpack order."""
-        return self._bufs
-
-
-def _weno5_minus_fused(a, b, c, d, e, ws: tuple[np.ndarray, ...], out: np.ndarray):
-    """Fused left-biased reconstruction writing into ``out``.
-
-    Arithmetic identical to :func:`_weno5_minus_raw`, but every temporary
-    lives in the preallocated workspace and operations are issued with
-    ``out=`` so no fresh allocations occur -- the NumPy analogue of the
-    paper's micro-fusion (common-subexpression reuse plus fewer passes over
-    memory).
-    """
-    t0, t1, t2, is0, is1, is2, acc, num, den = ws
-
-    # is0 = 13/12 (a - 2b + c)^2 + 1/4 (a - 4b + 3c)^2
-    np.subtract(a, b, out=t0)
-    np.subtract(t0, b, out=t0)
-    np.add(t0, c, out=t0)  # a - 2b + c
-    np.multiply(t0, t0, out=is0)
-    np.multiply(is0, _C13, out=is0)
-    np.subtract(a, 4.0 * b, out=t1)  # one unavoidable temp for 4*b
-    np.add(t1, 3.0 * c, out=t1)
-    np.multiply(t1, t1, out=t2)
-    np.multiply(t2, 0.25, out=t2)
-    np.add(is0, t2, out=is0)
-
-    # is1 = 13/12 (b - 2c + d)^2 + 1/4 (b - d)^2
-    np.subtract(b, c, out=t0)
-    np.subtract(t0, c, out=t0)
-    np.add(t0, d, out=t0)
-    np.multiply(t0, t0, out=is1)
-    np.multiply(is1, _C13, out=is1)
-    np.subtract(b, d, out=t1)
-    np.multiply(t1, t1, out=t2)
-    np.multiply(t2, 0.25, out=t2)
-    np.add(is1, t2, out=is1)
-
-    # is2 = 13/12 (c - 2d + e)^2 + 1/4 (3c - 4d + e)^2
-    np.subtract(c, d, out=t0)
-    np.subtract(t0, d, out=t0)
-    np.add(t0, e, out=t0)
-    np.multiply(t0, t0, out=is2)
-    np.multiply(is2, _C13, out=is2)
-    np.multiply(c, 3.0, out=t1)
-    np.subtract(t1, 4.0 * d, out=t1)
-    np.add(t1, e, out=t1)
-    np.multiply(t1, t1, out=t2)
-    np.multiply(t2, 0.25, out=t2)
-    np.add(is2, t2, out=is2)
-
-    # alphas (stored back into is0..is2)
-    for isk, dk in ((is0, _D0), (is1, _D1), (is2, _D2)):
-        np.add(isk, WENO_EPS, out=isk)
-        np.multiply(isk, isk, out=isk)
-        np.divide(dk, isk, out=isk)
-
-    # denominator
-    np.add(is0, is1, out=den)
-    np.add(den, is2, out=den)
-
-    # numerator = alpha0*p0 + alpha1*p1 + alpha2*p2
-    np.multiply(a, 2.0, out=t0)
-    np.subtract(t0, 7.0 * b, out=t0)
-    np.add(t0, 11.0 * c, out=t0)
-    np.multiply(t0, 1.0 / 6.0, out=t0)
-    np.multiply(is0, t0, out=num)
-
-    np.multiply(c, 5.0, out=t0)
-    np.subtract(t0, b, out=t0)
-    np.add(t0, 2.0 * d, out=t0)
-    np.multiply(t0, 1.0 / 6.0, out=t0)
-    np.multiply(is1, t0, out=acc)
-    np.add(num, acc, out=num)
-
-    np.multiply(c, 2.0, out=t0)
-    np.add(t0, 5.0 * d, out=t0)
-    np.subtract(t0, e, out=t0)
-    np.multiply(t0, 1.0 / 6.0, out=t0)
-    np.multiply(is2, t0, out=acc)
-    np.add(num, acc, out=num)
-
-    np.divide(num, den, out=out)
-    return out
-
-
-def weno5_fused(
-    v: np.ndarray,
-    workspace: Weno5Workspace | None = None,
-    out_minus: np.ndarray | None = None,
-    out_plus: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Workspace-reusing WENO5; same contract as :func:`weno5`.
-
-    Returns ``(minus, plus)`` of shape ``v.shape[:-1] + (M - 5,)``.
-    Passing a :class:`Weno5Workspace` (and optionally output arrays)
-    eliminates all per-call allocations.
-    """
-    if v.shape[-1] < 6:
-        raise ValueError(f"need at least 6 cells along last axis, got {v.shape[-1]}")
-    nfaces = v.shape[-1] - 5
-    out_shape = v.shape[:-1] + (nfaces,)
-    if workspace is None or workspace.shape != out_shape:
-        workspace = Weno5Workspace(out_shape, dtype=v.dtype)
-    if out_minus is None:
-        out_minus = np.empty(out_shape, dtype=v.dtype)
-    if out_plus is None:
-        out_plus = np.empty(out_shape, dtype=v.dtype)
-    a = v[..., 0:nfaces]
-    b = v[..., 1 : 1 + nfaces]
-    c = v[..., 2 : 2 + nfaces]
-    d = v[..., 3 : 3 + nfaces]
-    e = v[..., 4 : 4 + nfaces]
-    f = v[..., 5 : 5 + nfaces]
-    ws = workspace.buffers()
-    _weno5_minus_fused(a, b, c, d, e, ws, out_minus)
-    _weno5_minus_fused(f, e, d, c, b, ws, out_plus)
-    return out_minus, out_plus
+    nlines, nfaces = minus.shape
+    step = max(1, _CACHE_BLOCK_FACES // nfaces)
+    for start in range(0, nlines, step):
+        chunk = lines[start : start + step]
+        a = chunk[:, 0:nfaces]
+        b = chunk[:, 1 : 1 + nfaces]
+        c = chunk[:, 2 : 2 + nfaces]
+        d = chunk[:, 3 : 3 + nfaces]
+        e = chunk[:, 4 : 4 + nfaces]
+        f = chunk[:, 5 : 5 + nfaces]
+        ws = np.empty((9,) + a.shape, dtype=lines.dtype)
+        _weno5_minus_ws(a, b, c, d, e, ws, minus[start : start + step])
+        # The right-biased stencil is the mirror image of the left-biased
+        # one.
+        _weno5_minus_ws(f, e, d, c, b, ws, plus[start : start + step])
 
 
 def weno3(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

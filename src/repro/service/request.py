@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..sim.config import SimulationConfig
 
@@ -39,8 +39,6 @@ SEMANTIC_FIELDS = (
     "extent",
     "cfl",
     "stepper",
-    "fused_weno",
-    "use_slices",
     "weno_order",
     "riemann_solver",
     "periodic",
@@ -249,6 +247,12 @@ class JobRequest:
             if isinstance(sem.get(name), list):
                 sem[name] = tuple(sem[name])
         runtime = dict(payload.get("runtime", {}))
+        known = {f.name for f in fields(SimulationConfig)}
+        unknown = sorted((sem.keys() | runtime.keys()) - known)
+        if unknown:
+            raise RequestError(
+                f"unknown SimulationConfig field(s): {', '.join(unknown)}"
+            )
         cfg = SimulationConfig(**sem, **runtime)
         return cls(
             config=cfg,

@@ -24,22 +24,6 @@ IC = cloud_collapse([Bubble((0.5, 0.5, 0.5), 0.2)], p_liquid=1000.0)
 
 
 class TestSchemeOptions:
-    def test_use_slices_matches_vectorized(self):
-        r_vec = Simulation(cfg(), IC).run()
-        r_sl = Simulation(cfg(use_slices=True), IC).run()
-        scale = np.abs(r_vec.final_field).max()
-        np.testing.assert_allclose(
-            r_sl.final_field, r_vec.final_field, atol=1e-9 * scale
-        )
-
-    def test_fused_weno_close_to_baseline(self):
-        r0 = Simulation(cfg(), IC).run()
-        r1 = Simulation(cfg(fused_weno=True), IC).run()
-        scale = np.abs(r0.final_field).max()
-        np.testing.assert_allclose(
-            r1.final_field, r0.final_field, atol=1e-5 * scale
-        )
-
     def test_hllc_runs_and_differs(self):
         r0 = Simulation(cfg(max_steps=5), IC).run()
         r1 = Simulation(cfg(max_steps=5, riemann_solver="hllc"), IC).run()
@@ -62,8 +46,6 @@ class TestSchemeOptions:
 
     def test_uniform_invariant_under_all_options(self):
         for opts in (
-            {"use_slices": True},
-            {"fused_weno": True},
             {"riemann_solver": "hllc"},
             {"weno_order": 3},
             {"stepper": "euler"},

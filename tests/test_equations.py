@@ -30,11 +30,6 @@ class TestUniform:
         rhs = compute_rhs(soa(pad), h=0.01)
         assert np.abs(rhs).max() == 0.0
 
-    def test_fused_zero_rhs(self):
-        pad = make_uniform_aos((14, 14, 14), u=(1.0, -2.0, 3.0))
-        rhs = compute_rhs(soa(pad), h=0.01, fused=True)
-        np.testing.assert_allclose(rhs, 0.0, atol=1e-8)
-
 
 class TestInterfacePreservation:
     """The Johnsen-Ham criterion: a material interface advected at

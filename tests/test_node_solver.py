@@ -49,20 +49,6 @@ class TestRhsEvaluation:
                       bx * 8:(bx + 1) * 8] = r
         np.testing.assert_allclose(assembled, r1, rtol=1e-6, atol=1e-7)
 
-    def test_slices_equals_vectorized(self, rng):
-        from .conftest import make_smooth_aos
-
-        field = make_smooth_aos((16, 16, 16), rng).astype(np.float32)
-        g = BlockGrid((2, 2, 2), 8, h=0.1)
-        g.from_array(field)
-        r_vec = NodeSolver(g).evaluate_rhs()
-        r_sl = NodeSolver(g, use_slices=True).evaluate_rhs()
-        for idx in r_vec:
-            scale = max(np.abs(r_vec[idx]).max(), 1.0)
-            np.testing.assert_allclose(
-                r_sl[idx], r_vec[idx], rtol=1e-13, atol=1e-12 * scale
-            )
-
     def test_schedule_recorded(self):
         g = uniform_grid()
         solver = NodeSolver(g, dispatcher=Dispatcher(num_workers=3))
