@@ -61,7 +61,7 @@ KERNEL_BENCH_SEED = 2013
 #: Kernels the microbench times, in report order.
 KERNEL_BENCH_CASES = ("rhs", "weno5", "hlle", "sos")
 
-#: Default record path: the repo root, next to kernel_manifest.json.
+#: Default record path: the repo root.
 KERNEL_BENCH_OUT = Path(__file__).resolve().parents[1] / "BENCH_kernels.json"
 
 

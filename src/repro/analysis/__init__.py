@@ -12,30 +12,31 @@ machine instead of by convention:
   must never produce NaN/Inf, negative density or negative pressure
   mid-collapse.
 
-Three parts:
+Four static families share one engine: :mod:`repro.analysis.program`
+parses each file once into one whole-program model, every rule lives in
+the one registry of :mod:`repro.analysis.lint` (its family is its id
+prefix), and every family reports into one :class:`Report`:
 
-* :mod:`repro.analysis.lint` + :mod:`repro.analysis.rules` --
-  ``cubism-lint``, an AST-based checker with a pluggable rule registry
-  (rules CL001..CL011) and ``# lint: disable=RULE`` pragmas.  Run it as
-  ``python -m repro.analysis src/repro`` (or the ``cubism-lint`` script).
-* :mod:`repro.analysis.sanitizer` -- :class:`NumericsSanitizer`, a
-  runtime checker with an off / warn / raise policy that hooks into the
-  core kernels, the time stepper and the cluster driver, accumulating a
-  per-run :class:`ViolationReport`.
-* :mod:`repro.analysis.concurrency` -- the cluster layer's concurrency
-  analysis: **comm-check**, a static whole-program MPI protocol verifier
-  (rules CC001..CC004, ``python -m repro.analysis --concurrency``), and
-  a dynamic vector-clock race detector + deadlock watchdog for the
-  thread-based runtime (CC101/CC102, ``--concurrency-check`` on runs).
+* :mod:`repro.analysis.rules` -- ``cubism-lint``, per-file AST rules
+  CL001..CL012 with ``# lint: disable=RULE`` pragmas
+  (``python -m repro.analysis src/repro`` or the ``cubism-lint`` script);
+* :mod:`repro.analysis.concurrency` -- **comm-check**, a static
+  whole-program MPI protocol verifier (rules CC001..CC004,
+  ``--concurrency``), plus a dynamic vector-clock race detector and
+  deadlock watchdog for the thread-based runtime (CC101/CC102,
+  ``--concurrency-check`` on runs);
 * :mod:`repro.analysis.perfcheck` -- **kernel-check**, a static hot-path
-  performance analyzer (rules CP001..CP006, ``python -m repro.analysis
-  --perf``) that certifies the declared hot-path kernels for compiled
-  backends and emits the machine-readable ``kernel_manifest.json``.
+  performance analyzer over the declared kernels (rules CP001..CP003,
+  CP005, CP006; ``--perf``);
 * :mod:`repro.analysis.syscheck` -- **sys-check**, a static
   resource-lifecycle and process-safety analyzer for the multi-process
-  layers (rules RS001..RS007, ``python -m repro.analysis --sys``), plus
-  :class:`ResourceLedger`, the runtime leak sanitizer the test suite
-  wraps around every cluster/service/chaos test.
+  layers (rules RS001..RS007, ``--sys``), plus :class:`ResourceLedger`,
+  the runtime leak sanitizer the test suite wraps around every
+  cluster/service/chaos test.
+
+:mod:`repro.analysis.sanitizer` adds :class:`NumericsSanitizer`, a
+runtime checker with an off / warn / raise policy that hooks into the
+core kernels, the time stepper and the cluster driver.
 
 ``python -m repro.analysis --all`` runs all four static families in one
 pass and emits a single merged report with a worst-of exit code.
@@ -46,43 +47,22 @@ See ``docs/analysis.md`` for the full rule catalogue and usage.
 from __future__ import annotations
 
 from .concurrency import (
-    ConcurrencyReport,
     ConcurrencyViolationError,
     ConcurrencyWarning,
     RaceTracker,
-    check_paths,
-    check_sources,
     make_tracker,
-    registered_program_rules,
 )
 from .lint import (
     LintConfig,
+    Report,
     Rule,
     SourceFile,
     Violation,
     format_violations,
-    lint_paths,
-    lint_source,
     registered_rules,
 )
-from .perfcheck import (
-    HOT_KERNELS,
-    KernelSpec,
-    PerfReport,
-    build_kernel_manifest,
-    registered_perf_rules,
-    write_kernel_manifest,
-)
-from .perfcheck import check_paths as perf_check_paths
-from .perfcheck import check_sources as perf_check_sources
-from .syscheck import (
-    LeakError,
-    ResourceLedger,
-    SysReport,
-    registered_sys_rules,
-)
-from .syscheck import check_paths as sys_check_paths
-from .syscheck import check_sources as sys_check_sources
+from .perfcheck import HOT_KERNELS, KernelSpec
+from .program import FAMILIES, Program, analyze, check_program, lint_paths, lint_source
 from .sanitizer import (
     POLICIES,
     NumericsSanitizer,
@@ -92,46 +72,41 @@ from .sanitizer import (
     ViolationReport,
     make_sanitizer,
 )
+from .syscheck import LeakError, ResourceLedger
 
-# Importing the rule catalogue populates the registry as a side effect.
+# Importing the rule catalogues populates the registry as a side effect.
 from . import rules as _rules  # noqa: F401  (registry population)
+from .concurrency import commcheck as _commcheck  # noqa: F401
+from .perfcheck import rules as _perf_rules  # noqa: F401
+from .syscheck import rules as _sys_rules  # noqa: F401
 
 __all__ = [
-    "ConcurrencyReport",
     "ConcurrencyViolationError",
     "ConcurrencyWarning",
-    "RaceTracker",
-    "check_paths",
-    "check_sources",
-    "make_tracker",
-    "registered_program_rules",
+    "FAMILIES",
     "HOT_KERNELS",
     "KernelSpec",
-    "PerfReport",
-    "build_kernel_manifest",
-    "perf_check_paths",
-    "perf_check_sources",
-    "registered_perf_rules",
-    "write_kernel_manifest",
     "LeakError",
-    "ResourceLedger",
-    "SysReport",
-    "registered_sys_rules",
-    "sys_check_paths",
-    "sys_check_sources",
     "LintConfig",
-    "Rule",
-    "SourceFile",
-    "Violation",
-    "format_violations",
-    "lint_paths",
-    "lint_source",
-    "registered_rules",
-    "POLICIES",
     "NumericsSanitizer",
     "NumericsViolation",
     "NumericsViolationError",
     "NumericsWarning",
+    "POLICIES",
+    "Program",
+    "RaceTracker",
+    "Report",
+    "ResourceLedger",
+    "Rule",
+    "SourceFile",
+    "Violation",
     "ViolationReport",
+    "analyze",
+    "check_program",
+    "format_violations",
+    "lint_paths",
+    "lint_source",
     "make_sanitizer",
+    "make_tracker",
+    "registered_rules",
 ]

@@ -7,14 +7,13 @@ Usage::
     python -m repro.analysis --perf src/repro     # static perf analyzer
     python -m repro.analysis --sys src/repro      # static sys-check
     python -m repro.analysis --all src/repro      # all four, one report
-    python -m repro.analysis --list-rules         # print the catalogues
+    python -m repro.analysis --list-rules         # print the catalogue
     cubism-lint src/repro --select CL001,CL002    # installed entry point
 
-``--perf`` (and ``--all``) additionally emit the kernel certification
-manifest (``--manifest-out``, default ``kernel_manifest.json``).
-``--all`` merges every family into one JSON report
-(``repro.analysis_report/v1``) with a worst-of exit code, collapsing
-four CI invocations into one.
+The family flags only choose which families the one analysis pass runs;
+every file is parsed once.  One family reports its own JSON payload;
+several (``--all``) merge into one report (``repro.analysis_report/v1``)
+with a worst-of exit code.
 
 Exit codes: 0 clean, 1 violations found, 2 usage/config error (unknown
 rule id, nonexistent path, unreadable file).
@@ -27,18 +26,18 @@ import json
 import sys
 from pathlib import Path
 
-from .concurrency import registered_program_rules
-from .concurrency import check_paths as comm_check_paths
-from .lint import LintConfig, format_violations, lint_paths, registered_rules
-from .perfcheck import analyze_paths, registered_perf_rules, write_kernel_manifest
-from .syscheck import registered_sys_rules
-from .syscheck import check_paths as sys_check_paths
+from .lint import REGISTRY, Report, format_violations, registered_rules
+from .program import FAMILIES, analyze
 
-# Importing the catalogue populates the registry.
-from . import rules as _rules  # noqa: F401  (registry population)
-
-#: Schema identifier of the merged ``--all`` report.
+#: Schema identifier of the merged multi-family report.
 MERGED_SCHEMA = "repro.analysis_report/v1"
+
+#: Family -> the name its CLI summary line starts with.
+TOOLS = {"lint": "cubism-lint", "comm": "comm-check", "perf": "kernel-check",
+         "sys": "sys-check"}
+
+#: Family -> the CLI flag that selects it (lint runs when none is given).
+FLAGS = {"comm": "--concurrency", "perf": "--perf", "sys": "--sys"}
 
 
 def _rule_set(spec: str | None) -> frozenset[str] | None:
@@ -52,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="cubism-lint",
         description="Solver-aware lint enforcing the repo's precision, "
-        "stencil and conservation contracts, plus the static MPI "
-        "protocol verifier (--concurrency).",
+        "stencil and conservation contracts, plus the whole-program "
+        "comm-check, kernel-check and sys-check families.",
     )
     ap.add_argument(
         "paths", nargs="*", default=["src/repro"],
@@ -67,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--perf", action="store_true",
         help="run kernel-check (static hot-path performance analyzer, "
-        "CP-series rules) and emit the kernel certification manifest",
+        "CP-series rules)",
     )
     ap.add_argument(
         "--sys", dest="syscheck", action="store_true",
@@ -80,11 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and emit a single merged report with a worst-of exit code",
     )
     ap.add_argument(
-        "--manifest-out", metavar="PATH", default=None,
-        help="where --perf writes kernel_manifest.json "
-        "(default: ./kernel_manifest.json)",
-    )
-    ap.add_argument(
         "--select", metavar="RULES",
         help="comma-separated rule ids to run (default: all)",
     )
@@ -94,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument(
         "--list-rules", action="store_true",
-        help="print the rule catalogues and exit",
+        help="print the rule catalogue and exit",
     )
     ap.add_argument(
         "--report-out", metavar="PATH", default=None,
@@ -108,98 +102,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def list_rules() -> str:
-    """Returns the formatted rule catalogues (lint + comm-check)."""
+    """Returns the formatted rule catalogue of every family."""
     lines = []
-    for cls in registered_rules():
-        scope = ", ".join(cls.default_paths) if cls.default_paths else "all files"
-        lines.append(f"{cls.rule_id}  {cls.name}  [{scope}]")
-        lines.append(f"       {cls.description}")
-    for cls in registered_program_rules():
-        lines.append(f"{cls.rule_id}  {cls.name}  [whole program, --concurrency]")
-        lines.append(f"       {cls.description}")
-    for cls in registered_perf_rules():
-        lines.append(f"{cls.rule_id}  {cls.name}  [hot-path kernels, --perf]")
-        lines.append(f"       {cls.description}")
-    for cls in registered_sys_rules():
-        scope = ", ".join(cls.paths)
-        lines.append(f"{cls.rule_id}  {cls.name}  [{scope}, --sys]")
-        lines.append(f"       {cls.description}")
+    for family in FAMILIES:
+        for cls in registered_rules(family):
+            scope = ", ".join(cls.default_paths or ()) or (
+                "all files" if family == "lint" else "whole program")
+            flag = FLAGS.get(family)
+            lines.append(f"{cls.rule_id}  {cls.name}  [{scope}"
+                         + (f", {flag}]" if flag else "]"))
+            lines.append(f"       {cls.description}")
     return "\n".join(lines)
 
 
-def _known_rule_ids() -> set[str]:
-    """Every selectable rule id (CLxxx + CCxxx + CPxxx + RSxxx)."""
-    return (
-        {cls.rule_id for cls in registered_rules()}
-        | {cls.rule_id for cls in registered_program_rules()}
-        | {cls.rule_id for cls in registered_perf_rules()}
-        | {cls.rule_id for cls in registered_sys_rules()}
-    )
-
-
-def _filtered(violations, select, ignore):
-    return [
-        v for v in violations
-        if (select is None or v.rule in select) and v.rule not in ignore
-    ]
-
-
-def run_all(paths, select=None, ignore=frozenset(),
-            manifest_out=None) -> tuple[dict, list]:
-    """Run lint + comm + perf + sys over ``paths`` in one pass.
-
-    Returns ``(payload, violations)``: the merged
-    ``repro.analysis_report/v1`` JSON payload and the flat, sorted
-    violation list (the worst-of exit code is ``1`` iff non-empty).
-    Emits the kernel manifest exactly like a plain ``--perf`` run.
-    """
-    lint_violations = lint_paths(paths, LintConfig(select=select,
-                                                   ignore=ignore))
-    comm_report = comm_check_paths(paths)
-    comm_report.violations = _filtered(comm_report.violations,
-                                       select, ignore)
-    program, perf_report = analyze_paths(paths)
-    perf_report.violations = _filtered(perf_report.violations,
-                                       select, ignore)
-    write_kernel_manifest(program, perf_report,
-                          manifest_out or "kernel_manifest.json")
-    sys_report = sys_check_paths(paths)
-    sys_report.violations = _filtered(sys_report.violations,
-                                      select, ignore)
-
-    by_family = [
-        ("lint", lint_violations, {"findings": [
-            {"path": v.path, "line": v.line, "col": v.col,
-             "rule": v.rule, "message": v.message}
-            for v in lint_violations
-        ]}),
-        ("comm", comm_report.violations, comm_report.to_dict()),
-        ("perf", perf_report.violations, perf_report.to_dict()),
-        ("sys", sys_report.violations, sys_report.to_dict()),
-    ]
+def merged_payload(reports: dict[str, Report]) -> dict:
+    """Returns the ``repro.analysis_report/v1`` payload of several families."""
     findings = [
         {"family": family, "path": v.path, "line": v.line, "col": v.col,
          "rule": v.rule, "message": v.message}
-        for family, violations, _ in by_family
-        for v in violations
+        for family, report in reports.items()
+        for v in report.violations
     ]
-    payload = {
+    return {
         "schema": MERGED_SCHEMA,
-        "families": {family: report for family, _, report in by_family},
+        "families": {f: r.to_dict() for f, r in reports.items()},
         "findings": sorted(
             findings, key=lambda f: (f["path"], f["line"], f["rule"])
         ),
         "totals": {
             "findings": len(findings),
-            "by_family": {
-                family: len(violations)
-                for family, violations, _ in by_family
-            },
+            "by_family": {f: len(r) for f, r in reports.items()},
         },
     }
-    merged = [v for _, violations, _ in by_family for v in violations]
-    merged.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return payload, merged
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -211,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
 
     select = _rule_set(args.select)
     ignore = _rule_set(args.ignore) or frozenset()
-    unknown = ((select or frozenset()) | ignore) - _known_rule_ids()
+    unknown = ((select or frozenset()) | ignore) - set(REGISTRY)
     if unknown:
         print(
             f"cubism-lint: unknown rule id(s): {', '.join(sorted(unknown))}",
@@ -226,69 +160,23 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
+    chosen = {"comm": args.concurrency, "perf": args.perf, "sys": args.syscheck}
+    if args.all_families:
+        families = FAMILIES
+    else:
+        families = tuple(f for f, on in chosen.items() if on) or ("lint",)
     try:
-        if args.all_families:
-            payload, violations = run_all(
-                args.paths, select=select, ignore=ignore,
-                manifest_out=args.manifest_out,
-            )
-            totals = payload["totals"]["by_family"]
-            clean_msg = "analysis: all families clean ({})".format(
-                ", ".join(f"{fam}={n}" for fam, n in totals.items())
-            )
-        elif args.syscheck:
-            report = sys_check_paths(args.paths)
-            violations = _filtered(report.violations, select, ignore)
-            report.violations = violations
-            payload = report.to_dict()
-            clean_msg = f"sys-check: {report.summary()}"
-        elif args.perf:
-            program, report = analyze_paths(args.paths)
-            violations = [
-                v for v in report.violations
-                if (select is None or v.rule in select)
-                and v.rule not in ignore
-            ]
-            report.violations = violations
-            payload = report.to_dict()
-            clean_msg = f"kernel-check: {report.summary()}"
-            manifest_out = args.manifest_out or "kernel_manifest.json"
-            try:
-                write_kernel_manifest(program, report, manifest_out)
-            except OSError as exc:
-                print(f"cubism-lint: {exc}", file=sys.stderr)
-                return 2
-        elif args.concurrency:
-            report = comm_check_paths(args.paths)
-            violations = [
-                v for v in report.violations
-                if (select is None or v.rule in select)
-                and v.rule not in ignore
-            ]
-            report.violations = violations
-            payload = report.to_dict()
-            clean_msg = f"comm-check: {report.summary()}"
-        else:
-            config = LintConfig(select=select, ignore=ignore)
-            violations = lint_paths(args.paths, config)
-            payload = {
-                "findings": [
-                    {"path": v.path, "line": v.line, "col": v.col,
-                     "rule": v.rule, "message": v.message}
-                    for v in violations
-                ],
-            }
-            clean_msg = "cubism-lint: clean"
+        reports = analyze(args.paths, families, select, ignore)
+        if args.report_out:
+            payload = (reports[families[0]].to_dict() if len(reports) == 1
+                       else merged_payload(reports))
+            with open(args.report_out, "w", encoding="utf-8") as f:
+                json.dump(payload, f, indent=2)
     except OSError as exc:
         print(f"cubism-lint: {exc}", file=sys.stderr)
         return 2
-    if args.report_out:
-        try:
-            with open(args.report_out, "w", encoding="utf-8") as f:
-                json.dump(payload, f, indent=2)
-        except OSError as exc:
-            print(f"cubism-lint: {exc}", file=sys.stderr)
-            return 2
+    # A parse error (CL000) is reported by every family: print it once.
+    violations = sorted({v for r in reports.values() for v in r.violations})
     if violations:
         print(format_violations(violations))
         if not args.quiet:
@@ -299,7 +187,12 @@ def main(argv: list[str] | None = None) -> int:
             )
         return 1
     if not args.quiet:
-        print(clean_msg, file=sys.stderr)
+        if len(reports) == 1:
+            message = f"{TOOLS[families[0]]}: {reports[families[0]].summary()}"
+        else:
+            message = "analysis: all families clean ({})".format(
+                ", ".join(f"{f}={len(r)}" for f, r in reports.items()))
+        print(message, file=sys.stderr)
     return 0
 
 

@@ -11,22 +11,12 @@ Two cooperating passes over the same failure domain:
   happens-before tracker plus lockset fallback (CC101), and records
   watchdog-diagnosed deadlocks (CC102).
 
-Both report plain :class:`~repro.analysis.lint.Violation` records in one
-:class:`~repro.analysis.concurrency.report.ConcurrencyReport`, shown by
+Both report plain :class:`~repro.analysis.lint.Violation` records in a
+``comm`` family :class:`~repro.analysis.lint.Report`, shown by
 ``python -m repro.analysis --concurrency`` and on the run scorecard.
 """
 
-from .commcheck import (
-    CommProgram,
-    CommSite,
-    ProgramRule,
-    build_program,
-    check_paths,
-    check_program,
-    check_sources,
-    register_program_rule,
-    registered_program_rules,
-)
+from .commcheck import ANY, CommFacts
 from .race import (
     DEADLOCK_RULE,
     POLICIES,
@@ -36,24 +26,15 @@ from .race import (
     RaceTracker,
     make_tracker,
 )
-from .report import ConcurrencyReport
 
 __all__ = [
-    "CommProgram",
-    "CommSite",
-    "ConcurrencyReport",
+    "ANY",
+    "CommFacts",
     "ConcurrencyViolationError",
     "ConcurrencyWarning",
     "DEADLOCK_RULE",
     "POLICIES",
-    "ProgramRule",
     "RACE_RULE",
     "RaceTracker",
-    "build_program",
-    "check_paths",
-    "check_program",
-    "check_sources",
     "make_tracker",
-    "register_program_rule",
-    "registered_program_rules",
 ]

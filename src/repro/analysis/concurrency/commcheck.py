@@ -12,9 +12,9 @@ hold on *every* rank of the SPMD program (SC13 Section 6):
 3. **endpoint consistency** -- the two ends of a point-to-point edge
    agree on the message tag and payload dtype.
 
-comm-check proves these properties *statically*.  It parses the analyzed
-files into the lint engine's :class:`~repro.analysis.lint.SourceFile`
-representation, extracts a per-rank **communication skeleton** -- every
+comm-check proves these properties *statically*.  It reads the shared
+:class:`~repro.analysis.program.Program`, extracts a per-rank
+**communication skeleton** (:class:`CommFacts`) -- every
 ``comm.send/isend/recv/irecv`` and collective call site, with symbolic
 peer, tag and payload-dtype arguments -- and then runs whole-program
 rules over the skeleton.
@@ -42,8 +42,8 @@ asymmetries.
 Findings are ordinary :class:`~repro.analysis.lint.Violation` records
 under CC-series rule ids (CC001..CC004), honor ``# lint: disable=CC...``
 pragmas, and accumulate in the shared
-:class:`~repro.analysis.concurrency.report.ConcurrencyReport`.  Run it
-with ``python -m repro.analysis --concurrency [paths]``.
+:class:`~repro.analysis.lint.Report`.  Run it with
+``python -m repro.analysis --concurrency [paths]``.
 """
 
 from __future__ import annotations
@@ -51,12 +51,11 @@ from __future__ import annotations
 import ast
 import copy
 import itertools
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from ..lint import SourceFile, Violation, iter_python_files
-from .report import ConcurrencyReport
+from ..lint import Rule, Violation, register_rule
+from ..program import Function, Program, call_name, kwarg
 
 #: Method names of the communicator API, by role (mpi4py conventions:
 #: lowercase = python objects, capitalized = NumPy arrays).
@@ -108,7 +107,6 @@ class CommSite:
     path: str
     line: int
     col: int
-    func: str  #: bare name of the enclosing function ("" = module level)
     peer: str  #: canonical dest/source text; :data:`ANY` for wildcards
     tag_text: str  #: canonical tag expression text; :data:`ANY` for wildcards
     tags: frozenset[int] | None  #: enumerated concrete tags (None = dynamic)
@@ -118,38 +116,13 @@ class CommSite:
 
 @dataclass(frozen=True)
 class LocalCall:
-    """A call to a locally defined function (for interprocedural checks)."""
+    """A call into a function that (transitively) performs a collective."""
 
     callee: str
     path: str
     line: int
     col: int
-    caller: str
     rank_conditions: tuple[str, ...]
-
-
-@dataclass
-class CommProgram:
-    """The whole-program communication skeleton comm-check rules consume."""
-
-    sources: dict[str, SourceFile] = field(default_factory=dict)
-    sites: list[CommSite] = field(default_factory=list)
-    local_calls: list[LocalCall] = field(default_factory=list)
-    #: bare names of locally defined functions that (transitively)
-    #: execute a collective operation
-    collective_bearing: set[str] = field(default_factory=set)
-
-    def sends(self) -> list[CommSite]:
-        """Returns the point-to-point send sites (list)."""
-        return [s for s in self.sites if s.kind == "send"]
-
-    def recvs(self) -> list[CommSite]:
-        """Returns the point-to-point receive sites (list)."""
-        return [s for s in self.sites if s.kind == "recv"]
-
-    def collectives(self) -> list[CommSite]:
-        """Returns the collective call sites (list)."""
-        return [s for s in self.sites if s.kind == "collective"]
 
 
 # -- static expression evaluation ----------------------------------------
@@ -238,12 +211,8 @@ def _eval_static(node: ast.expr, env: dict, funcs: dict, depth: int = 0):
         branch = node.body if test else node.orelse
         return _eval_static(branch, env, funcs, depth + 1)
     if isinstance(node, ast.Call):
-        name = None
-        if isinstance(node.func, ast.Name):
-            name = node.func.id
-        elif isinstance(node.func, ast.Attribute):
-            name = node.func.attr
-        if name is not None and name in funcs:
+        name = call_name(node)
+        if name in funcs:
             params, ret = funcs[name]
             bound: dict = {}
             for p, a in zip(params, node.args):
@@ -286,29 +255,24 @@ def _substituted(expr: ast.expr, mapping: dict[str, ast.expr]) -> ast.expr:
 
 
 class _FileContext:
-    """Extraction context of one parsed file.
+    """Extraction context of one parsed file of the program.
 
-    Collects the module-level constant environment, the inlineable pure
-    helper functions, a parent map, and the function table.
+    Holds the module-level constant environment, the inlineable pure
+    helper functions and the parent map.
     """
 
-    def __init__(self, source: SourceFile):
-        self.source = source
-        self.parents = source.parents()
-        self.consts: dict[str, object] = {}
+    def __init__(self, program: Program, path: str):
+        self.program = program
+        self.path = path
+        self.tree = program.sources[path].tree
+        self.parents = program.sources[path].parents()
+        self.consts = program.consts[path]
         self.pure_funcs: dict[str, tuple[list[str], ast.expr]] = {}
-        self.functions: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
-        for node in source.tree.body:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                t = node.targets[0]
-                if isinstance(t, ast.Name) and isinstance(node.value, ast.Constant):
-                    self.consts[t.id] = node.value.value
-        for node in ast.walk(source.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.functions.append(node)
-                pure = self._pure_return(node)
+        for fn in program.functions:
+            if fn.path == path:
+                pure = self._pure_return(fn.node)
                 if pure is not None:
-                    self.pure_funcs[node.name] = pure
+                    self.pure_funcs[fn.name] = pure
 
     @staticmethod
     def _pure_return(fn) -> tuple[list[str], ast.expr] | None:
@@ -324,14 +288,9 @@ class _FileContext:
         params = [a.arg for a in fn.args.args]
         return params, body[0].value
 
-    def enclosing_function(self, node: ast.AST):
+    def enclosing_function(self, node: ast.AST) -> Function | None:
         """The nearest enclosing def (lambdas are transparent), or None."""
-        cur = self.parents.get(node)
-        while cur is not None:
-            if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return cur
-            cur = self.parents.get(cur)
-        return None
+        return self.program.enclosing(self.path, node)
 
     def context_of(self, node: ast.AST):
         """Ancestry-derived context of a call site.
@@ -474,17 +433,12 @@ class _RawOp:
 
 def _arg_or_kw(call: ast.Call, index: int, name: str) -> ast.expr | None:
     """Positional-or-keyword argument of a call, or None if absent."""
-    if len(call.args) > index:
-        return call.args[index]
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
+    return call.args[index] if len(call.args) > index else kwarg(call, name)
 
 
 def _raw_ops(ctx: _FileContext) -> Iterator[_RawOp]:
     """Yield every communicator call site of one file."""
-    for node in ast.walk(ctx.source.tree):
+    for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
             continue
         method = node.func.attr
@@ -559,12 +513,12 @@ def _dtype_in_expr(expr: ast.expr) -> str | None:
     return None
 
 
-def _local_dtype_of(ctx: _FileContext, fn, name: str) -> str | None:
+def _local_dtype_of(fn: Function | None, name: str) -> str | None:
     """Dtype evidence from ``name = ...`` assignments in ``fn``, or None."""
     if fn is None:
         return None
     found = None
-    for node in ast.walk(fn):
+    for node in ast.walk(fn.node):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             t = node.targets[0]
             if isinstance(t, ast.Name) and t.id == name:
@@ -582,8 +536,7 @@ def _send_dtype(ctx: _FileContext, op: _RawOp) -> str | None:
     if direct is not None:
         return direct
     if isinstance(op.payload_ast, ast.Name):
-        fn = ctx.enclosing_function(op.call)
-        return _local_dtype_of(ctx, fn, op.payload_ast.id)
+        return _local_dtype_of(ctx.enclosing_function(op.call), op.payload_ast.id)
     return None
 
 
@@ -599,16 +552,16 @@ def _recv_dtype(ctx: _FileContext, op: _RawOp) -> str | None:
         return None
     target = parent.targets[0]
     if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
-        fn = ctx.enclosing_function(op.call)
-        return _local_dtype_of(ctx, fn, target.value.id)
+        return _local_dtype_of(ctx.enclosing_function(op.call), target.value.id)
     return None
 
 
-def _resolve_site(
-    ctx: _FileContext,
-    op: _RawOp,
-    contexts: dict[str, _FileContext],
-) -> list[CommSite]:
+#: function -> every ``(file context, call, calling function)`` invoking it
+_Callers = dict[Function, list[tuple[_FileContext, ast.Call, Function | None]]]
+
+
+def _resolve_site(ctx: _FileContext, op: _RawOp,
+                  callers: _Callers) -> list[CommSite]:
     """Resolve one raw op into concrete skeleton sites.
 
     Peer/tag expressions that are parameters of the enclosing function
@@ -618,7 +571,6 @@ def _resolve_site(
     resolution (a wrapper called from N places yields up to N sites).
     """
     fn = ctx.enclosing_function(op.call)
-    fn_name = fn.name if fn is not None else ""
     bindings, guards, rank_conds = ctx.context_of(op.call)
     line, col = op.call.lineno, op.call.col_offset + 1
 
@@ -643,8 +595,8 @@ def _resolve_site(
         else:
             peer = _canonical(peer_ast)
         return CommSite(
-            kind=op.kind, method=op.method, path=ctx.source.path,
-            line=line, col=col, func=fn_name, peer=peer,
+            kind=op.kind, method=op.method, path=ctx.path,
+            line=line, col=col, peer=peer,
             tag_text=tag_text, tags=tags,
             rank_conditions=tuple(rank_conds) + tuple(extra_conds),
             dtype=_send_dtype(ctx, op) if op.kind == "send" else (
@@ -659,11 +611,11 @@ def _resolve_site(
         and site.tag_text is not ANY
     )
     if needs_subst:
-        params = [a.arg for a in fn.args.args]
+        params = [a.arg for a in fn.node.args.args]
         unresolved = _free_names(op.tag_ast) & set(params)
         if unresolved:
             derived = _substitute_through_callers(
-                ctx, op, fn, params, contexts, build
+                op, fn, params, callers, build
             )
             if derived:
                 return derived
@@ -671,175 +623,101 @@ def _resolve_site(
 
 
 def _substitute_through_callers(
-    ctx: _FileContext,
     op: _RawOp,
-    fn,
+    fn: Function,
     params: list[str],
-    contexts: dict[str, _FileContext],
+    callers: _Callers,
     build,
 ) -> list[CommSite]:
     """Re-resolve a param-dependent op at each caller of its function."""
     out: list[CommSite] = []
     seen = 0
-    for cctx in contexts.values():
-        for node in ast.walk(cctx.source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = None
-            skip_self = False
-            if isinstance(node.func, ast.Name):
-                name = node.func.id
-            elif isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-                skip_self = params[:1] == ["self"]
-            if name != fn.name:
-                continue
-            caller_fn = cctx.enclosing_function(node)
-            if caller_fn is fn:
-                continue  # recursion: do not substitute into itself
-            seen += 1
-            if seen > MAX_CALL_SITES:
-                return out
-            pos_params = params[1:] if skip_self else params
-            mapping: dict[str, ast.expr] = {}
-            for p, a in zip(pos_params, node.args):
-                mapping[p] = a
-            for kw in node.keywords:
-                if kw.arg in params:
-                    mapping[kw.arg] = kw.value
-            tag_ast = _substituted(op.tag_ast, mapping)
-            peer_ast = (
-                _substituted(op.peer_ast, mapping)
-                if op.peer_ast is not None else None
-            )
-            cbind, cguards, cconds = cctx.context_of(node)
-            out.append(build(
-                tag_ast, peer_ast, extra_ctx=cctx, extra_bindings=cbind,
-                extra_guards=cguards, extra_conds=cconds,
-            ))
+    for cctx, node, caller in callers.get(fn, []):
+        if caller is fn:
+            continue  # recursion: do not substitute into itself
+        seen += 1
+        if seen > MAX_CALL_SITES:
+            return out
+        skip_self = (isinstance(node.func, ast.Attribute)
+                     and params[:1] == ["self"])
+        pos_params = params[1:] if skip_self else params
+        mapping: dict[str, ast.expr] = {}
+        for p, a in zip(pos_params, node.args):
+            mapping[p] = a
+        for kw in node.keywords:
+            if kw.arg in params:
+                mapping[kw.arg] = kw.value
+        tag_ast = _substituted(op.tag_ast, mapping)
+        peer_ast = (
+            _substituted(op.peer_ast, mapping)
+            if op.peer_ast is not None else None
+        )
+        cbind, cguards, cconds = cctx.context_of(node)
+        out.append(build(
+            tag_ast, peer_ast, extra_ctx=cctx, extra_bindings=cbind,
+            extra_guards=cguards, extra_conds=cconds,
+        ))
     return out
 
 
-def build_program(sources: dict[str, str]) -> CommProgram:
-    """Build the communication skeleton of a set of source files.
+class CommFacts:
+    """The whole-program communication skeleton comm-check rules consume."""
 
-    ``sources`` maps display paths to source text.  Files that fail to
-    parse contribute nothing (the lint pass reports their CL000).
-    Returns the populated :class:`CommProgram`.
-    """
-    program = CommProgram()
-    contexts: dict[str, _FileContext] = {}
-    for path, text in sources.items():
-        try:
-            sf = SourceFile(path, text)
-        except SyntaxError:
-            continue
-        program.sources[path] = sf
-        contexts[path] = _FileContext(sf)
+    def __init__(self, program: Program):
+        contexts = [_FileContext(program, path) for path in program.sources]
+        callers: _Callers = {}
+        for ctx in contexts:
+            for node in ast.walk(ctx.tree):
+                if isinstance(node, ast.Call):
+                    caller = ctx.enclosing_function(node)
+                    target = program.resolve(
+                        node, ctx.path, caller.class_name if caller else None)
+                    if target is not None:
+                        callers.setdefault(target, []).append((ctx, node, caller))
+        self.sites: list[CommSite] = []
+        direct: dict[Function, bool] = {}
+        for ctx in contexts:
+            for op in _raw_ops(ctx):
+                self.sites.extend(_resolve_site(ctx, op, callers))
+                fn = ctx.enclosing_function(op.call)
+                if op.kind == "collective" and fn is not None:
+                    direct[fn] = True
+        #: functions that (transitively) execute a collective operation
+        self.collective_bearing = set(program.propagate(direct, lambda c, m: m))
+        #: calls into collective-bearing functions, with rank conditions
+        self.bearing_calls = [
+            LocalCall(callee=target.name, path=ctx.path, line=node.lineno,
+                      col=node.col_offset + 1,
+                      rank_conditions=ctx.context_of(node)[2])
+            for target, calls in callers.items()
+            if target in self.collective_bearing
+            for ctx, node, _ in calls
+        ]
 
-    raw: list[tuple[_FileContext, _RawOp]] = []
-    for ctx in contexts.values():
-        for op in _raw_ops(ctx):
-            raw.append((ctx, op))
-    for ctx, op in raw:
-        program.sites.extend(_resolve_site(ctx, op, contexts))
+    def sends(self) -> list[CommSite]:
+        """Returns the point-to-point send sites (list)."""
+        return [s for s in self.sites if s.kind == "send"]
 
-    # -- call graph over bare local function names ----------------------
-    local_names = {
-        fn.name for ctx in contexts.values() for fn in ctx.functions
-    }
-    callees: dict[str, set[str]] = {name: set() for name in local_names}
-    direct: set[str] = set()
-    for ctx in contexts.values():
-        for fn in ctx.functions:
-            for node in ast.walk(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = None
-                if isinstance(node.func, ast.Name):
-                    name = node.func.id
-                elif isinstance(node.func, ast.Attribute):
-                    name = node.func.attr
-                if name in local_names and name != fn.name:
-                    callees[fn.name].add(name)
-    for site in program.sites:
-        if site.kind == "collective" and site.func:
-            direct.add(site.func)
+    def recvs(self) -> list[CommSite]:
+        """Returns the point-to-point receive sites (list)."""
+        return [s for s in self.sites if s.kind == "recv"]
 
-    bearing = set(direct)
-    changed = True
-    while changed:
-        changed = False
-        for name, called in callees.items():
-            if name not in bearing and called & bearing:
-                bearing.add(name)
-                changed = True
-    program.collective_bearing = bearing
+    def collectives(self) -> list[CommSite]:
+        """Returns the collective call sites (list)."""
+        return [s for s in self.sites if s.kind == "collective"]
 
-    for ctx in contexts.values():
-        for node in ast.walk(ctx.source.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = None
-            if isinstance(node.func, ast.Name):
-                name = node.func.id
-            elif isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-            if name not in local_names:
-                continue
-            caller = ctx.enclosing_function(node)
-            _b, _g, conds = ctx.context_of(node)
-            program.local_calls.append(LocalCall(
-                callee=name, path=ctx.source.path, line=node.lineno,
-                col=node.col_offset + 1,
-                caller=caller.name if caller is not None else "",
-                rank_conditions=conds,
-            ))
-    return program
+    def checks_run(self, rules: list[Rule], config) -> int:
+        """(site, rule) pairs examined."""
+        return len(self.sites) * len(rules)
 
 
 # -- program rules -------------------------------------------------------
 
 
-class ProgramRule:
-    """Base class of whole-program comm-check rules (CC-series).
-
-    Unlike per-file :class:`~repro.analysis.lint.Rule` subclasses, a
-    program rule consumes the whole :class:`CommProgram` skeleton; it
-    still reports plain :class:`~repro.analysis.lint.Violation` records.
-    """
-
-    rule_id: str = ""
-    name: str = ""
-    description: str = ""
-
-    def check(self, program: CommProgram) -> Iterable[Violation]:
-        """Yield the rule's findings over the program skeleton."""
-        raise NotImplementedError
-
-    def violation(self, site, message: str) -> Violation:
-        """Returns a :class:`Violation` anchored at a skeleton site."""
-        return Violation(path=site.path, line=site.line, col=site.col,
-                         rule=self.rule_id, message=message)
-
-
-#: The open program-rule registry, keyed by rule id.
-PROGRAM_REGISTRY: dict[str, type[ProgramRule]] = {}
-
-
-def register_program_rule(cls: type[ProgramRule]) -> type[ProgramRule]:
-    """Class decorator adding a program rule to the registry."""
-    if not cls.rule_id:
-        raise ValueError(f"program rule {cls.__name__} has no rule_id")
-    if cls.rule_id in PROGRAM_REGISTRY and PROGRAM_REGISTRY[cls.rule_id] is not cls:
-        raise ValueError(f"duplicate program rule id {cls.rule_id}")
-    PROGRAM_REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def registered_program_rules() -> list[type[ProgramRule]]:
-    """Returns the registered program-rule classes in id order."""
-    return [PROGRAM_REGISTRY[k] for k in sorted(PROGRAM_REGISTRY)]
+def _finding(rule: Rule, at, message: str) -> Violation:
+    """A finding of ``rule`` at a skeleton site or local call."""
+    return Violation(path=at.path, line=at.line, col=at.col,
+                     rule=rule.rule_id, message=message)
 
 
 def _tag_label(tags: Iterable[int]) -> str:
@@ -847,8 +725,8 @@ def _tag_label(tags: Iterable[int]) -> str:
     return ", ".join(str(t) for t in sorted(tags))
 
 
-@register_program_rule
-class UnmatchedSend(ProgramRule):
+@register_rule
+class UnmatchedSend(Rule):
     """CC001: every posted send must have a matching receive.
 
     Under SPMD symmetry the set of tags any rank can post must be
@@ -866,7 +744,7 @@ class UnmatchedSend(ProgramRule):
         "matches -- dropped or mis-tagged halo receive"
     )
 
-    def check(self, program: CommProgram) -> Iterable[Violation]:
+    def check(self, program: CommFacts) -> Iterable[Violation]:
         recvs = program.recvs()
         recv_any = any(r.tags is None for r in recvs)
         covered: set[int] = set()
@@ -875,17 +753,18 @@ class UnmatchedSend(ProgramRule):
                 covered |= set(r.tags)
         for s in program.sends():
             if not recvs:
-                yield self.violation(
-                    s, f"{s.method}(dest={s.peer}) has no receive anywhere "
-                       "in the analyzed program",
+                yield _finding(
+                    self, s,
+                    f"{s.method}(dest={s.peer}) has no receive anywhere "
+                    "in the analyzed program",
                 )
                 continue
             if s.tags is None or recv_any:
                 continue
             missing = set(s.tags) - covered
             if missing:
-                yield self.violation(
-                    s,
+                yield _finding(
+                    self, s,
                     f"{s.method}(dest={s.peer}, tag={s.tag_text}) posts "
                     f"tag(s) {{{_tag_label(missing)}}} that no receive in "
                     "the program matches (dropped or mis-tagged recv "
@@ -893,8 +772,8 @@ class UnmatchedSend(ProgramRule):
                 )
 
 
-@register_program_rule
-class UnmatchedRecv(ProgramRule):
+@register_rule
+class UnmatchedRecv(Rule):
     """CC002: every posted receive must have a matching send.
 
     A receive whose enumerated tag no send can post blocks until the
@@ -910,7 +789,7 @@ class UnmatchedRecv(ProgramRule):
         "program posts -- guaranteed stall"
     )
 
-    def check(self, program: CommProgram) -> Iterable[Violation]:
+    def check(self, program: CommFacts) -> Iterable[Violation]:
         sends = program.sends()
         send_any = any(s.tags is None for s in sends)
         posted: set[int] = set()
@@ -919,17 +798,18 @@ class UnmatchedRecv(ProgramRule):
                 posted |= set(s.tags)
         for r in program.recvs():
             if not sends:
-                yield self.violation(
-                    r, f"{r.method}(source={r.peer}) has no send anywhere "
-                       "in the analyzed program",
+                yield _finding(
+                    self, r,
+                    f"{r.method}(source={r.peer}) has no send anywhere "
+                    "in the analyzed program",
                 )
                 continue
             if r.tags is None or send_any:
                 continue
             missing = set(r.tags) - posted
             if missing:
-                yield self.violation(
-                    r,
+                yield _finding(
+                    self, r,
                     f"{r.method}(source={r.peer}, tag={r.tag_text}) waits "
                     f"for tag(s) {{{_tag_label(missing)}}} that no send in "
                     "the program posts (unmatched edge: the wait can only "
@@ -937,8 +817,8 @@ class UnmatchedRecv(ProgramRule):
                 )
 
 
-@register_program_rule
-class RankDependentCollective(ProgramRule):
+@register_rule
+class RankDependentCollective(Rule):
     """CC003: collectives must execute identically on every rank.
 
     A collective (or a call into a function that transitively performs
@@ -955,7 +835,7 @@ class RankDependentCollective(ProgramRule):
         "conditional -- collective order diverges across ranks"
     )
 
-    def check(self, program: CommProgram) -> Iterable[Violation]:
+    def check(self, program: CommFacts) -> Iterable[Violation]:
         seen: set[tuple[str, int, int]] = set()
         for site in program.collectives():
             if site.rank_conditions:
@@ -963,35 +843,30 @@ class RankDependentCollective(ProgramRule):
                 if key in seen:
                     continue
                 seen.add(key)
-                yield self.violation(
-                    site,
+                yield _finding(
+                    self, site,
                     f"collective {site.method}() under rank-dependent "
                     f"condition {site.rank_conditions[0]!r}; every rank "
                     "must issue the same collectives in the same order",
                 )
-        for call in program.local_calls:
+        for call in program.bearing_calls:
             if not call.rank_conditions:
-                continue
-            if call.callee not in program.collective_bearing:
                 continue
             key = (call.path, call.line, call.col)
             if key in seen:
                 continue
             seen.add(key)
-            yield Violation(
-                path=call.path, line=call.line, col=call.col,
-                rule=self.rule_id,
-                message=(
-                    f"call to {call.callee}() (which performs collectives) "
-                    f"under rank-dependent condition "
-                    f"{call.rank_conditions[0]!r}; the collective order "
-                    "diverges across ranks"
-                ),
+            yield _finding(
+                self, call,
+                f"call to {call.callee}() (which performs collectives) "
+                f"under rank-dependent condition "
+                f"{call.rank_conditions[0]!r}; the collective order "
+                "diverges across ranks",
             )
 
 
-@register_program_rule
-class EndpointDtypeMismatch(ProgramRule):
+@register_rule
+class EndpointDtypeMismatch(Rule):
     """CC004: matched endpoints must agree on the payload dtype.
 
     When both ends of a tag-matched edge carry static dtype evidence --
@@ -1007,7 +882,7 @@ class EndpointDtypeMismatch(ProgramRule):
         "evidence"
     )
 
-    def check(self, program: CommProgram) -> Iterable[Violation]:
+    def check(self, program: CommFacts) -> Iterable[Violation]:
         sends = [s for s in program.sends() if s.dtype is not None]
         for r in program.recvs():
             if r.dtype is None:
@@ -1019,45 +894,9 @@ class EndpointDtypeMismatch(ProgramRule):
                 elif s.tag_text != r.tag_text:
                     continue
                 if s.dtype != r.dtype:
-                    yield self.violation(
-                        r,
+                    yield _finding(
+                        self, r,
                         f"receive buffer dtype {r.dtype} != sent payload "
                         f"dtype {s.dtype} ({s.path}:{s.line}); endpoints "
                         "of one edge must agree on the payload dtype",
                     )
-
-
-# -- entry points --------------------------------------------------------
-
-
-def check_program(program: CommProgram) -> ConcurrencyReport:
-    """Run every registered program rule; returns the report.
-
-    Violations honor ``# lint: disable=CCxxx`` pragmas in the analyzed
-    sources; ``checks_run`` counts (site, rule) pairs examined.
-    """
-    report = ConcurrencyReport()
-    rules = [cls() for cls in registered_program_rules()]
-    report.checks_run = len(program.sites) * len(rules)
-    out: list[Violation] = []
-    for rule in rules:
-        for v in rule.check(program):
-            source = program.sources.get(v.path)
-            if source is not None and source.disabled(v.rule, v.line):
-                continue
-            out.append(v)
-    report.violations = sorted(set(out))
-    return report
-
-
-def check_sources(sources: dict[str, str]) -> ConcurrencyReport:
-    """comm-check a mapping of display path -> source text (report)."""
-    return check_program(build_program(sources))
-
-
-def check_paths(paths: Iterable[str | Path]) -> ConcurrencyReport:
-    """comm-check every python file under ``paths``; returns the report."""
-    sources = {
-        str(f): f.read_text(encoding="utf-8") for f in iter_python_files(paths)
-    }
-    return check_sources(sources)

@@ -26,7 +26,7 @@ variables, not messages).
 
 Findings are :class:`~repro.analysis.lint.Violation` records under the
 dynamic CC-series ids (``CC101`` shared-state race, ``CC102`` deadlock)
-in the shared :class:`~repro.analysis.concurrency.report.ConcurrencyReport`.
+in the shared :class:`~repro.analysis.lint.Report` of the ``comm`` family.
 The policy knob mirrors the numerics sanitizer: ``off`` builds no
 tracker at all (:func:`make_tracker` returns ``None``; the runtime's
 hook sites guard with one ``is None`` test), ``warn`` records findings
@@ -40,8 +40,7 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 
-from ..lint import Violation
-from .report import ConcurrencyReport
+from ..lint import Report, Violation
 
 #: Valid concurrency-check policies (mirrors the sanitizer's knob).
 POLICIES = ("off", "warn", "raise")
@@ -110,7 +109,7 @@ class RaceTracker:
                 f"unknown concurrency policy {policy!r}; choose from {POLICIES}"
             )
         self.policy = policy
-        self.report = ConcurrencyReport()
+        self.report = Report("comm")
         self._lock = threading.Lock()
         self._clocks: dict[int, dict[int, int]] = {}
         self._locations: dict[str, _Location] = {}

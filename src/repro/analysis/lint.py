@@ -1,11 +1,13 @@
-"""``cubism-lint`` engine: AST rule framework, pragmas and path scoping.
+"""Analysis engine primitives: rules, findings, pragmas, path scoping.
 
-The engine is deliberately small: a :class:`Rule` subclass registers
-itself under a stable id (``CL001`` ...), receives a parsed
-:class:`SourceFile` and yields :class:`Violation` records.  The engine
-owns everything rules should not have to re-implement:
+Every static family -- the per-file ``cubism-lint`` rules (CL) and the
+whole-program comm-check (CC), kernel-check (CP) and sys-check (RS)
+families -- shares what this module defines:
 
-* discovery of python files under the linted paths;
+* :class:`Rule` and the one open registry (:func:`register_rule`); a
+  rule's family is read off its id prefix (:data:`FAMILY_PREFIXES`);
+* :class:`Violation` findings and the :class:`Report` that accumulates
+  them with a per-family ``summary()``;
 * ``# lint: disable=RULE[,RULE...]`` pragmas -- a pragma comment on a
   line of its own disables the rules for the whole file, a trailing
   pragma disables them for the enclosing statement (every line of a
@@ -16,15 +18,16 @@ owns everything rules should not have to re-implement:
   ``physics/`` but exempts ``compression/`` and ``sim/`` diagnostics);
 * stable ordering and ``file:line:col: RULE message`` formatting.
 
-Rules live in :mod:`repro.analysis.rules`; the registry is open so
-downstream campaigns can add project-specific contracts::
+:mod:`repro.analysis.program` parses the analyzed files once and runs
+the rules; the registry is open so downstream campaigns can add
+project-specific contracts::
 
-    from repro.analysis import Rule, lint_paths
+    from repro.analysis import Rule
     from repro.analysis.lint import register_rule
 
     @register_rule
     class MyRule(Rule):
-        rule_id = "CX900"
+        rule_id = "CL900"
         ...
 """
 
@@ -38,8 +41,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-#: Pragma syntax: ``# lint: disable=CL001`` or ``# lint: disable=CL001,CL002``.
-_PRAGMA_RE = re.compile(r"#\s*lint:\s*disable=([A-Za-z0-9_,\s]+)")
+#: Pragma syntax: ``# lint: disable=CL001`` or ``# lint: disable=CL001,CL002``;
+#: anything after the id list (``-- reason`` or plain text) is the reason.
+_PRAGMA_RE = re.compile(r"#\s*lint:\s*disable=([A-Z]+\d+(?:\s*,\s*[A-Z]+\d+)*)")
+
+#: Rule-id prefix -> analysis family.
+FAMILY_PREFIXES = {"CL": "lint", "CC": "comm", "CP": "perf", "RS": "sys"}
+
+#: Word each family's ``Report.summary()`` starts with.
+_SUMMARY_LABELS = {"lint": "lint", "comm": "concurrency", "perf": "perfcheck",
+                   "sys": "syscheck"}
 
 
 @dataclass(frozen=True, order=True)
@@ -158,12 +169,14 @@ class SourceFile:
 
 
 class Rule:
-    """Base class of all lint rules.
+    """Base class of every static rule (CL, CC, CP and RS families).
 
     Subclasses set ``rule_id``, ``name`` and ``description`` and
-    implement :meth:`check`.  ``default_paths`` restricts the rule to
-    path patterns (see :func:`path_matches`); ``None`` means the rule
-    applies everywhere.
+    implement :meth:`check`.  A per-file CL rule checks one parsed
+    :class:`SourceFile`; a whole-program rule checks the facts its
+    family extracts from the :class:`~repro.analysis.program.Program`.
+    ``default_paths`` restricts where findings are reported (see
+    :func:`path_matches`); ``None`` means everywhere.
     """
 
     rule_id: str = ""
@@ -171,14 +184,14 @@ class Rule:
     description: str = ""
     default_paths: tuple[str, ...] | None = None
 
-    def check(self, source: SourceFile) -> Iterable[Violation]:
-        """Yield the rule's violations for one source file."""
+    def check(self, subject) -> Iterable[Violation]:
+        """Yield the rule's violations for one file or one program."""
         raise NotImplementedError
 
-    def violation(self, source: SourceFile, node: ast.AST, message: str) -> Violation:
-        """Returns a :class:`Violation` anchored at ``node``."""
+    def violation(self, path: str, node: ast.AST, message: str) -> Violation:
+        """Returns a :class:`Violation` anchored at ``node`` in ``path``."""
         return Violation(
-            path=source.path,
+            path=path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0) + 1,
             rule=self.rule_id,
@@ -186,23 +199,71 @@ class Rule:
         )
 
 
-#: The open rule registry, keyed by rule id.
+#: The open rule registry of every family, keyed by rule id.
 REGISTRY: dict[str, type[Rule]] = {}
 
 
 def register_rule(cls: type[Rule]) -> type[Rule]:
     """Class decorator adding a rule to the registry (id must be unique)."""
-    if not cls.rule_id:
-        raise ValueError(f"rule {cls.__name__} has no rule_id")
+    if cls.rule_id[:2] not in FAMILY_PREFIXES:
+        raise ValueError(
+            f"rule {cls.__name__} has no rule id with a family prefix "
+            f"({', '.join(FAMILY_PREFIXES)})"
+        )
     if cls.rule_id in REGISTRY and REGISTRY[cls.rule_id] is not cls:
         raise ValueError(f"duplicate rule id {cls.rule_id}")
     REGISTRY[cls.rule_id] = cls
     return cls
 
 
-def registered_rules() -> list[type[Rule]]:
-    """Returns the registered rule classes in id order."""
-    return [REGISTRY[k] for k in sorted(REGISTRY)]
+def registered_rules(family: str | None = None) -> list[type[Rule]]:
+    """Returns the registered rule classes of ``family`` (all if None) in id order."""
+    return [
+        REGISTRY[k] for k in sorted(REGISTRY)
+        if family is None or FAMILY_PREFIXES[k[:2]] == family
+    ]
+
+
+@dataclass
+class Report:
+    """Accumulated findings of one analysis family or one checked run."""
+
+    family: str
+    violations: list[Violation] = field(default_factory=list)
+    checks_run: int = 0
+
+    def __len__(self) -> int:
+        return len(self.violations)
+
+    def by_rule(self) -> dict[str, int]:
+        """Returns violation counts keyed by rule id."""
+        out: dict[str, int] = {}
+        for v in self.violations:
+            out[v.rule] = out.get(v.rule, 0) + 1
+        return out
+
+    def summary(self) -> str:
+        """Returns a one-line summary suitable for scorecards/CLI."""
+        label = _SUMMARY_LABELS[self.family]
+        if not self.violations:
+            return f"{label}: clean ({self.checks_run} checks)"
+        parts = ", ".join(f"{k}={n}" for k, n in sorted(self.by_rule().items()))
+        return (
+            f"{label}: {len(self.violations)} finding(s) in "
+            f"{self.checks_run} checks ({parts})"
+        )
+
+    def to_dict(self) -> dict:
+        """Returns a JSON-serializable payload (the CI report artifact)."""
+        return {
+            "checks_run": self.checks_run,
+            "findings": [
+                {"path": v.path, "line": v.line, "col": v.col,
+                 "rule": v.rule, "message": v.message}
+                for v in sorted(self.violations)
+            ],
+            "by_rule": self.by_rule(),
+        }
 
 
 def path_matches(path: str, pattern: str) -> bool:
@@ -222,7 +283,7 @@ def path_matches(path: str, pattern: str) -> bool:
 
 @dataclass
 class LintConfig:
-    """Which rules run where.
+    """Which rules run where, for every family.
 
     ``select`` limits the run to those rule ids (``None`` = all
     registered); ``ignore`` removes rules; ``rule_paths`` overrides each
@@ -235,10 +296,10 @@ class LintConfig:
     ignore: frozenset[str] = frozenset()
     rule_paths: Mapping[str, tuple[str, ...] | None] = field(default_factory=dict)
 
-    def active_rules(self) -> list[Rule]:
-        """Returns instantiated rules enabled by select/ignore."""
+    def active_rules(self, family: str) -> list[Rule]:
+        """Returns the family's instantiated rules enabled by select/ignore."""
         rules = []
-        for cls in registered_rules():
+        for cls in registered_rules(family):
             if self.select is not None and cls.rule_id not in self.select:
                 continue
             if cls.rule_id in self.ignore:
@@ -254,35 +315,6 @@ class LintConfig:
         return any(path_matches(path, pat) for pat in patterns)
 
 
-def lint_source(text: str, path: str, config: LintConfig | None = None) -> list[Violation]:
-    """Lint one in-memory source string; returns sorted violations.
-
-    ``path`` is used both for display and for per-rule path scoping, so
-    tests can place fixture snippets in any layer of the tree.
-    """
-    config = config or LintConfig()
-    try:
-        source = SourceFile(path, text)
-    except SyntaxError as exc:
-        return [
-            Violation(
-                path=path,
-                line=exc.lineno or 1,
-                col=(exc.offset or 0) + 1,
-                rule="CL000",
-                message=f"syntax error: {exc.msg}",
-            )
-        ]
-    out: list[Violation] = []
-    for rule in config.active_rules():
-        if not config.applies(rule, path):
-            continue
-        for v in rule.check(source):
-            if not source.disabled(v.rule, v.line):
-                out.append(v)
-    return sorted(out)
-
-
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
     """Yield the ``.py`` files under ``paths`` (files or directories)."""
     for p in paths:
@@ -293,16 +325,6 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             )
         elif p.suffix == ".py":
             yield p
-
-
-def lint_paths(paths: Iterable[str | Path], config: LintConfig | None = None) -> list[Violation]:
-    """Lint every python file under ``paths``; returns sorted violations."""
-    config = config or LintConfig()
-    out: list[Violation] = []
-    for f in iter_python_files(paths):
-        text = f.read_text(encoding="utf-8")
-        out.extend(lint_source(text, str(f), config))
-    return sorted(out)
 
 
 def format_violations(violations: Iterable[Violation]) -> str:

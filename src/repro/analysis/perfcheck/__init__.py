@@ -2,83 +2,16 @@
 
 Whole-program abstract interpretation over the solver's hot-path
 modules (WENO, Riemann, EOS, RHS assembly, block kernels, time stepper,
-ghost exchange) that certifies each declared kernel for the compiled
-backends the roadmap targets.  Six rules -- CP001 silent float32/float64
-promotion, CP002 strong-scalar contamination, CP003 hidden-temporary
-accounting, CP004 compiled-subset certification, CP005 fancy-indexing
-fusion blockers, CP006 counted-vs-modeled arithmetic-intensity
-divergence -- produce :class:`~repro.analysis.lint.Violation` findings
-plus a machine-readable ``kernel_manifest.json``.  Run with
+ghost exchange) that checks each declared kernel and its helper
+closure.  Five rules -- CP001 silent float32/float64 promotion, CP002
+strong-scalar contamination, CP003 hidden-temporary accounting, CP005
+fancy-indexing fusion blockers, CP006 counted-vs-modeled
+arithmetic-intensity divergence -- produce
+:class:`~repro.analysis.lint.Violation` findings.  Run with
 ``python -m repro.analysis --perf``; see ``docs/analysis.md``.
 """
 
-from .dtypes import DtypeInference, Promotion, StrongScalar, infer
-from .manifest import (
-    MANIFEST_SCHEMA,
-    build_kernel_manifest,
-    certified_backends,
-    write_kernel_manifest,
-)
-from .model import (
-    BACKEND_NUMBA,
-    BACKEND_NUMPY,
-    HOT_KERNELS,
-    HOT_MODULES,
-    KernelSpec,
-    modeled_arithmetic,
-)
-from .program import (
-    FunctionEntry,
-    KernelInfo,
-    PerfProgram,
-    build_program,
-    count_flops,
-    count_operand_bytes,
-)
-from .report import PerfReport
-from .rules import (
-    ALLOC_THRESHOLD,
-    INTENSITY_TOLERANCE,
-    PERF_REGISTRY,
-    PerfRule,
-    analyze_paths,
-    check_paths,
-    check_program,
-    check_sources,
-    register_perf_rule,
-    registered_perf_rules,
-)
+from .facts import KernelFacts
+from .model import HOT_KERNELS, KernelSpec
 
-__all__ = [
-    "ALLOC_THRESHOLD",
-    "BACKEND_NUMBA",
-    "BACKEND_NUMPY",
-    "DtypeInference",
-    "FunctionEntry",
-    "HOT_KERNELS",
-    "HOT_MODULES",
-    "INTENSITY_TOLERANCE",
-    "KernelInfo",
-    "KernelSpec",
-    "MANIFEST_SCHEMA",
-    "PERF_REGISTRY",
-    "PerfProgram",
-    "PerfReport",
-    "PerfRule",
-    "Promotion",
-    "StrongScalar",
-    "analyze_paths",
-    "build_kernel_manifest",
-    "build_program",
-    "certified_backends",
-    "check_paths",
-    "check_program",
-    "check_sources",
-    "count_flops",
-    "count_operand_bytes",
-    "infer",
-    "modeled_arithmetic",
-    "register_perf_rule",
-    "registered_perf_rules",
-    "write_kernel_manifest",
-]
+__all__ = ["HOT_KERNELS", "KernelFacts", "KernelSpec"]

@@ -1,15 +1,12 @@
-"""Whole-program kernel extraction for the static performance analyzer.
+"""Kernel facts of the static performance analyzer (kernel-check).
 
-Mirrors the skeleton-building phase of
-:mod:`repro.analysis.concurrency.commcheck`: every analyzed file is
-parsed into the lint engine's :class:`~repro.analysis.lint.SourceFile`,
-a per-file context collects its function table and module-level
-constants, and the declared hot-path kernels
+The declared hot-path kernels
 (:data:`repro.analysis.perfcheck.model.HOT_KERNELS`) are resolved to
-their defining functions by ``(module-suffix, name)``.  Each resolved
-kernel carries
+their defining functions in the shared
+:class:`~repro.analysis.program.Program` by ``(module-suffix, name)``.
+Each resolved kernel carries
 
-* its transitive **local helper closure** over the bare-name call graph
+* its transitive **local helper closure** over bare-name calls
   (``weno5`` pulls in ``_weno5_minus_raw``; ``hlle_flux`` pulls in
   ``_hlle_combine``, ``einfeldt_wave_speeds``, ``sound_speed``, ...),
   which is the scan scope of the CP rules, and
@@ -25,12 +22,13 @@ kernel carries
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
-from ..lint import SourceFile, path_matches
+from ..lint import path_matches
+from ..program import Function, Program, call_name
 from .dtypes import ELEMENTWISE
-from .model import KernelSpec
+from .model import HOT_KERNELS, KernelSpec
 
 #: Recursion bound of the local-call inlining in the FLOP counter.
 MAX_INLINE_DEPTH = 6
@@ -55,14 +53,11 @@ _REDUCTIONS = frozenset({"max", "min", "sum", "prod", "amax", "amin",
                          "nanmax", "nanmin"})
 
 
-@dataclass
-class FunctionEntry:
-    """One locally defined function of the analyzed file set."""
-
-    name: str
-    path: str
-    fn: ast.FunctionDef | ast.AsyncFunctionDef
-    source: SourceFile
+def _bare_name_call(call: ast.Call) -> bool:
+    """Kernel helpers are module-level functions called by bare name;
+    attribute calls are ``np.*`` ufuncs or methods of runtime objects
+    (sanitizers, tracers) that are not kernel arithmetic."""
+    return isinstance(call.func, ast.Name)
 
 
 @dataclass
@@ -70,11 +65,11 @@ class KernelInfo:
     """A resolved hot-path kernel plus its analysis artifacts."""
 
     spec: KernelSpec
-    entry: FunctionEntry
-    #: bare names of the transitive local helper closure (kernel included)
-    closure: tuple[str, ...] = ()
-    counted_flops: float = 0.0
-    counted_bytes: float = 0.0
+    fn: Function
+    #: the transitive local helper closure (kernel included)
+    closure: list[Function]
+    counted_flops: float
+    counted_bytes: float
 
     @property
     def counted_intensity(self) -> float:
@@ -84,88 +79,31 @@ class KernelInfo:
         return self.counted_flops / self.counted_bytes
 
 
-@dataclass
-class PerfProgram:
-    """Everything the CP rules consume: sources, kernels, call graph."""
+class KernelFacts:
+    """The declared kernels of a program plus the functions CP rules scan."""
 
-    sources: dict[str, SourceFile] = field(default_factory=dict)
-    #: bare name -> defining entry (first definition wins on collision)
-    functions: dict[str, FunctionEntry] = field(default_factory=dict)
-    kernels: list[KernelInfo] = field(default_factory=list)
-    #: module-level names bound to dict literals, per path (CP004's
-    #: dict-of-functions dispatch detection)
-    dict_consts: dict[str, set[str]] = field(default_factory=dict)
-    #: module-level integer constants, per path (loop enumeration)
-    int_consts: dict[str, dict[str, int]] = field(default_factory=dict)
+    def __init__(self, program: Program,
+                 specs: tuple[KernelSpec, ...] | None = None):
+        self.kernels: list[KernelInfo] = []
+        for spec in HOT_KERNELS if specs is None else specs:
+            fn = next((f for f in program.by_name.get(spec.name, [])
+                       if path_matches(f.path, spec.module)), None)
+            if fn is None:
+                continue  # not among the analyzed files
+            self.kernels.append(KernelInfo(
+                spec=spec, fn=fn,
+                closure=program.closure(fn, _bare_name_call),
+                counted_flops=count_flops(program, fn),
+                counted_bytes=count_operand_bytes(fn.node),
+            ))
+        #: each function in some kernel's closure, once
+        self.scanned: list[Function] = list(dict.fromkeys(
+            fn for info in self.kernels for fn in info.closure
+        ))
 
-    def scan_entries(self) -> list[tuple[KernelInfo, FunctionEntry]]:
-        """(kernel, function) pairs to scan: each kernel with every
-        member of its helper closure, deduplicated per kernel."""
-        out = []
-        for info in self.kernels:
-            for name in info.closure:
-                entry = self.functions.get(name)
-                if entry is not None:
-                    out.append((info, entry))
-        return out
-
-
-def _module_consts(tree: ast.Module) -> tuple[set[str], dict[str, int]]:
-    """Names of module-level dict literals and int constants."""
-    dicts: set[str] = set()
-    ints: dict[str, int] = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            t = node.targets[0]
-            if not isinstance(t, ast.Name):
-                continue
-            if isinstance(node.value, (ast.Dict, ast.DictComp)):
-                dicts.add(t.id)
-            elif isinstance(node.value, ast.Constant) and isinstance(
-                node.value.value, int
-            ):
-                ints[t.id] = node.value.value
-    return dicts, ints
-
-
-def _call_name(call: ast.Call) -> str | None:
-    """Bare target name of a call, or None."""
-    if isinstance(call.func, ast.Name):
-        return call.func.id
-    if isinstance(call.func, ast.Attribute):
-        return call.func.attr
-    return None
-
-
-def _callees(fn: ast.AST, functions: dict[str, FunctionEntry]) -> set[str]:
-    """Bare names of locally defined functions called inside ``fn``.
-
-    Only ``Name`` call targets resolve: kernel helpers are module-level
-    functions called by bare name, while attribute calls are either
-    ``np.*`` ufuncs or method calls on runtime objects (sanitizers,
-    tracers) that are not kernel arithmetic.
-    """
-    out: set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id in functions:
-                out.add(node.func.id)
-    return out
-
-
-def _closure(root: str, functions: dict[str, FunctionEntry]) -> tuple[str, ...]:
-    """Transitive bare-name call closure of ``root`` (root included)."""
-    seen: list[str] = []
-    stack = [root]
-    while stack:
-        name = stack.pop()
-        if name in seen or name not in functions:
-            continue
-        seen.append(name)
-        for callee in sorted(_callees(functions[name].fn, functions)):
-            if callee not in seen:
-                stack.append(callee)
-    return tuple(seen)
+    def checks_run(self, rules: list, config) -> int:
+        """(function, rule) scan pairs plus the per-kernel cross-checks."""
+        return len(self.scanned) * len(rules) + len(self.kernels)
 
 
 # -- static FLOP counting -------------------------------------------------
@@ -198,11 +136,10 @@ def _loop_multiplier(node: ast.For, int_consts: dict[str, int]) -> int:
 
 
 def count_flops(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-    functions: dict[str, FunctionEntry],
-    int_consts: dict[str, int],
+    program: Program,
+    fn: Function,
     _depth: int = 0,
-    _stack: frozenset[str] = frozenset(),
+    _stack: frozenset[Function] = frozenset(),
 ) -> float:
     """Static per-point FLOP estimate of one function body.
 
@@ -212,6 +149,9 @@ def count_flops(
     calls to locally defined functions inline the callee's count
     (bounded depth, cycle-safe).
     """
+
+    int_consts = {k: v for k, v in program.consts[fn.path].items()
+                  if isinstance(v, int)}
 
     def stmt_count(stmts: Iterable[ast.stmt]) -> float:
         total = 0.0
@@ -278,26 +218,19 @@ def count_flops(
         return total
 
     def _call_cost(call: ast.Call) -> float:
-        name = _call_name(call)
-        if name is None or name in _DATA_MOVEMENT:
+        name = call_name(call)
+        if not name or name in _DATA_MOVEMENT:
             return 0.0
-        is_bare = isinstance(call.func, ast.Name)
-        if (
-            is_bare
-            and name in functions
-            and name not in _stack
-            and _depth < MAX_INLINE_DEPTH
-        ):
-            entry = functions[name]
-            return count_flops(
-                entry.fn, functions, int_consts,
-                _depth=_depth + 1, _stack=_stack | {name},
-            )
+        if _bare_name_call(call) and _depth < MAX_INLINE_DEPTH:
+            callee = program.resolve(call, fn.path, fn.class_name)
+            if callee is not None and callee not in _stack:
+                return count_flops(program, callee, _depth + 1,
+                                   _stack | {callee})
         if name in ELEMENTWISE or name in _REDUCTIONS:
             return 1.0
         return 0.0
 
-    return stmt_count(fn.body)
+    return stmt_count(fn.node.body)
 
 
 # -- static operand (byte) counting ---------------------------------------
@@ -352,8 +285,8 @@ def count_operand_bytes(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> float:
             for c in node.comparators:
                 _param_operands(c)
         elif isinstance(node, ast.Call):
-            name = _call_name(node)
-            if name is not None and name not in _DATA_MOVEMENT:
+            name = call_name(node)
+            if name and name not in _DATA_MOVEMENT:
                 for a in node.args:
                     _param_operands(a)
                 for kw in node.keywords:
@@ -396,64 +329,3 @@ def count_operand_bytes(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> float:
     # A name that is both loaded and stored (in-place update) is one
     # logical operand streamed twice; count it on both sides.
     return 8.0 * (len(loads) + len(stores))
-
-
-# -- program assembly -----------------------------------------------------
-
-
-def build_program(
-    sources: dict[str, str],
-    specs: tuple[KernelSpec, ...],
-) -> PerfProgram:
-    """Parse sources and resolve the declared kernels into a program.
-
-    ``sources`` maps display paths to source text; files that fail to
-    parse contribute nothing (the lint pass reports their CL000).
-    Kernels whose module/function cannot be found are skipped -- the
-    manifest reports what was actually resolved.
-    """
-    program = PerfProgram()
-    for path, text in sources.items():
-        try:
-            sf = SourceFile(path, text)
-        except SyntaxError:
-            continue
-        program.sources[path] = sf
-        dicts, ints = _module_consts(sf.tree)
-        program.dict_consts[path] = dicts
-        program.int_consts[path] = ints
-        for node in ast.walk(sf.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name not in program.functions:
-                    program.functions[node.name] = FunctionEntry(
-                        name=node.name, path=path, fn=node, source=sf
-                    )
-
-    for spec in specs:
-        entry = None
-        for path, sf in program.sources.items():
-            if not path_matches(path, spec.module):
-                continue
-            cand = program.functions.get(spec.name)
-            if cand is not None and cand.path == path:
-                entry = cand
-                break
-            # the first binding may live in another file; search this one
-            for node in ast.walk(sf.tree):
-                if (
-                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name == spec.name
-                ):
-                    entry = FunctionEntry(spec.name, path, node, sf)
-                    break
-            if entry is not None:
-                break
-        if entry is None:
-            continue
-        info = KernelInfo(spec=spec, entry=entry)
-        info.closure = _closure(spec.name, program.functions)
-        ints = program.int_consts.get(entry.path, {})
-        info.counted_flops = count_flops(entry.fn, program.functions, ints)
-        info.counted_bytes = count_operand_bytes(entry.fn)
-        program.kernels.append(info)
-    return program

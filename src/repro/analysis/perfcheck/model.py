@@ -4,17 +4,12 @@ The paper's core layer kept a hand-maintained list of the kernels that
 matter (RHS, DT, UP and their substages) and hand-verified each one
 before lowering it to QPX intrinsics.  This module is that list for the
 Python reproduction: every entry names a kernel function in one of the
-hot-path modules, the backends it is *declared* to target, its dtype
-contract, and (when the roofline model covers it) the key into the
-shared per-point arithmetic table
+hot-path modules, its dtype contract, and (when the roofline model
+covers it) the key into the shared per-point arithmetic table
 :data:`repro.perf.kernels.KERNEL_ARITHMETIC`.
 
-The static analyzer certifies each declared kernel: a kernel declared
-for the ``numba`` backend that carries compiled-subset findings (CP004/
-CP005) is *not* certified for it, and the emitted
-``kernel_manifest.json`` records the de-rated backend set.  The upcoming
-backend registry consumes the manifest as its source of truth, so
-adding a kernel here is the first step of the "certify a new kernel"
+The CP rules scan each declared kernel and its helper closure, so
+adding a kernel here is the first step of the "declaring a hot kernel"
 walkthrough in ``docs/analysis.md``.
 """
 
@@ -23,10 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ...perf.kernels import KERNEL_ARITHMETIC, KernelArithmetic
-
-#: Backend identifiers a kernel can declare.
-BACKEND_NUMPY = "numpy"
-BACKEND_NUMBA = "numba"
 
 #: Dtype-contract shorthand strings used by the spec table.
 _COMPUTE = "dtype-preserving; production COMPUTE_DTYPE (float64) SoA"
@@ -39,71 +30,46 @@ _AOS_INPLACE = (
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Declaration of one hot-path kernel the analyzer certifies."""
+    """Declaration of one hot-path kernel the analyzer checks."""
 
     name: str  #: function name in the defining module
     module: str  #: path suffix of the defining module (``physics/weno.py``)
-    backends: tuple[str, ...]  #: declared target backends
     dtype_contract: str  #: human-readable precision contract
     model_key: str | None = None  #: key into the shared arithmetic table
 
 
-#: The declared hot-path kernels (ISSUE 6 module set).  ``numba`` in the
-#: backend tuple means the kernel is intended for nopython compilation
-#: and must stay inside the compiled subset (rules CP004/CP005);
-#: numpy-only kernels use constructs the vectorized fallback needs
-#: (moveaxis wrappers, closures) and are exempt from
-#: subset certification by declaration rather than by pragma.
+#: The declared hot-path kernels.
 HOT_KERNELS: tuple[KernelSpec, ...] = (
     # physics.weno -- the WENO stage dominates the RHS (83 % of its
     # instructions, paper Table 8).
-    KernelSpec("weno5", "physics/weno.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "weno5"),
-    KernelSpec("weno3", "physics/weno.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, None),
+    KernelSpec("weno5", "physics/weno.py", _COMPUTE, "weno5"),
+    KernelSpec("weno3", "physics/weno.py", _COMPUTE, None),
     # physics.riemann -- the HLLE stage.
-    KernelSpec("hlle_flux", "physics/riemann.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "hlle"),
-    KernelSpec("einfeldt_wave_speeds", "physics/riemann.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "wavespeeds"),
-    KernelSpec("hllc_flux", "physics/riemann.py",
-               (BACKEND_NUMPY,), _COMPUTE, None),
+    KernelSpec("hlle_flux", "physics/riemann.py", _COMPUTE, "hlle"),
+    KernelSpec("einfeldt_wave_speeds", "physics/riemann.py", _COMPUTE,
+               "wavespeeds"),
+    KernelSpec("hllc_flux", "physics/riemann.py", _COMPUTE, None),
     # physics.eos -- CONV/BACK stages and the DT reduction chain.
-    KernelSpec("conserved_to_primitive", "physics/eos.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "conv"),
-    KernelSpec("primitive_to_conserved", "physics/eos.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "back"),
-    KernelSpec("pressure", "physics/eos.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "pressure"),
-    KernelSpec("total_energy", "physics/eos.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "total_energy"),
-    KernelSpec("sound_speed", "physics/eos.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "sound_speed"),
-    KernelSpec("max_characteristic_velocity", "physics/eos.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, "sos"),
+    KernelSpec("conserved_to_primitive", "physics/eos.py", _COMPUTE, "conv"),
+    KernelSpec("primitive_to_conserved", "physics/eos.py", _COMPUTE, "back"),
+    KernelSpec("pressure", "physics/eos.py", _COMPUTE, "pressure"),
+    KernelSpec("total_energy", "physics/eos.py", _COMPUTE, "total_energy"),
+    KernelSpec("sound_speed", "physics/eos.py", _COMPUTE, "sound_speed"),
+    KernelSpec("max_characteristic_velocity", "physics/eos.py", _COMPUTE,
+               "sos"),
     # physics.equations -- RHS assembly (directional sweeps).
-    KernelSpec("directional_rhs", "physics/equations.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, None),
-    KernelSpec("compute_rhs", "physics/equations.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _COMPUTE, None),
-    # core.kernels -- block-level wrappers (AoS/SoA conversion:
-    # numpy-only by design) and the UP stage.
-    KernelSpec("rhs_kernel", "core/kernels.py",
-               (BACKEND_NUMPY,), _AOS_IN, None),
-    KernelSpec("sos_kernel", "core/kernels.py",
-               (BACKEND_NUMPY,), _AOS_IN, None),
-    KernelSpec("update_stage", "core/kernels.py",
-               (BACKEND_NUMPY, BACKEND_NUMBA), _AOS_INPLACE, "up"),
+    KernelSpec("directional_rhs", "physics/equations.py", _COMPUTE, None),
+    KernelSpec("compute_rhs", "physics/equations.py", _COMPUTE, None),
+    # core.kernels -- block-level wrappers (AoS/SoA conversion) and the
+    # UP stage.
+    KernelSpec("rhs_kernel", "core/kernels.py", _AOS_IN, None),
+    KernelSpec("sos_kernel", "core/kernels.py", _AOS_IN, None),
+    KernelSpec("update_stage", "core/kernels.py", _AOS_INPLACE, "up"),
     # core.timestepper / node layer -- orchestration around the kernels.
-    KernelSpec("advance", "core/timestepper.py",
-               (BACKEND_NUMPY,), _AOS_INPLACE, None),
+    KernelSpec("advance", "core/timestepper.py", _AOS_INPLACE, None),
     KernelSpec("fill_block_ghosts", "node/ghosts.py",
-               (BACKEND_NUMPY,), "STORAGE_DTYPE (float32) AoS in place",
-               None),
+               "STORAGE_DTYPE (float32) AoS in place", None),
 )
-
-#: Module path suffixes the ``--perf`` CLI analyzes by default.
-HOT_MODULES: tuple[str, ...] = tuple(sorted({s.module for s in HOT_KERNELS}))
 
 
 def modeled_arithmetic(spec: KernelSpec) -> KernelArithmetic | None:

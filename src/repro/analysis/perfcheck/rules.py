@@ -1,8 +1,8 @@
 """CP-series rules of the static hot-path performance analyzer.
 
-Six whole-program rules certify the declared hot-path kernels
-(:data:`~repro.analysis.perfcheck.model.HOT_KERNELS`) for the compiled
-backends the roadmap targets:
+Five whole-program rules check the declared hot-path kernels
+(:data:`~repro.analysis.perfcheck.model.HOT_KERNELS`) and their helper
+closures:
 
 * **CP001 silent-promotion** -- a float32 and a float64 operand provably
   meet in one expression (dtype propagation per
@@ -15,41 +15,30 @@ backends the roadmap targets:
   intermediate arrays per call with (almost) no ``out=`` / workspace /
   in-place discipline, against the out=/workspace idiom of the
   micro-fused ``weno5`` kernel.
-* **CP004 compiled-subset** -- a kernel declared for the ``numba``
-  backend contains constructs nopython mode cannot lower (try/except,
-  closures, generator expressions, dict/list juggling, dict-of-functions
-  dispatch, context managers).
 * **CP005 fancy-indexing** -- advanced indexing (index arrays, boolean
-  masks) in a compiled-target kernel blocks loop fusion.
+  masks) in a hot kernel blocks loop fusion.
 * **CP006 intensity-divergence** -- the statically counted arithmetic
   intensity of a kernel diverges more than 2x from the shared roofline
   table :data:`repro.perf.kernels.KERNEL_ARITHMETIC` -- either the
   kernel grew arithmetic the model does not know about, or the model is
   stale.
 
-All findings are :class:`~repro.analysis.lint.Violation` records, honor
-``# lint: disable=CPxxx`` pragmas and accumulate in a
-:class:`~repro.analysis.perfcheck.report.PerfReport`.  Run with
+CP004 (Numba nopython-subset certification) is retired with the Numba
+backend it certified for; ids are never renumbered.  Findings honor
+``# lint: disable=CPxxx`` pragmas.  Run with
 ``python -m repro.analysis --perf [paths]``.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from ..lint import Violation, iter_python_files
+from ..lint import Rule, Violation, register_rule
+from ..program import call_name
 from .dtypes import ELEMENTWISE, infer
-from .model import BACKEND_NUMBA, HOT_KERNELS, KernelSpec, modeled_arithmetic
-from .program import (
-    _REDUCTIONS,
-    FunctionEntry,
-    PerfProgram,
-    _call_name,
-    build_program,
-)
-from .report import PerfReport
+from .facts import _REDUCTIONS, KernelFacts
+from .model import modeled_arithmetic
 
 #: CP003 fires at or above this many allocating array ops per function.
 ALLOC_THRESHOLD = 12
@@ -62,78 +51,11 @@ DISCIPLINE_RATIO = 4
 INTENSITY_TOLERANCE = 2.0
 
 
-class PerfRule:
-    """Base class of whole-program perfcheck rules (CP-series)."""
-
-    rule_id: str = ""
-    name: str = ""
-    description: str = ""
-
-    def check(self, program: PerfProgram) -> Iterable[Violation]:
-        """Yield the rule's findings over the kernel program."""
-        raise NotImplementedError
-
-    def violation(self, path: str, node: ast.AST, message: str) -> Violation:
-        """Returns a :class:`Violation` anchored at an AST node."""
-        return Violation(
-            path=path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            rule=self.rule_id,
-            message=message,
-        )
-
-
-#: The open perf-rule registry, keyed by rule id.
-PERF_REGISTRY: dict[str, type[PerfRule]] = {}
-
-
-def register_perf_rule(cls: type[PerfRule]) -> type[PerfRule]:
-    """Class decorator adding a perf rule to the registry."""
-    if not cls.rule_id:
-        raise ValueError(f"perf rule {cls.__name__} has no rule_id")
-    if cls.rule_id in PERF_REGISTRY and PERF_REGISTRY[cls.rule_id] is not cls:
-        raise ValueError(f"duplicate perf rule id {cls.rule_id}")
-    PERF_REGISTRY[cls.rule_id] = cls
-    return cls
-
-
-def registered_perf_rules() -> list[type[PerfRule]]:
-    """Returns the registered perf-rule classes in id order."""
-    return [PERF_REGISTRY[k] for k in sorted(PERF_REGISTRY)]
-
-
-# -- scan-scope helpers ---------------------------------------------------
-
-
-def _unique_functions(
-    program: PerfProgram, numba_only: bool = False
-) -> Iterator[FunctionEntry]:
-    """Each function in scope exactly once (kernels + helper closures).
-
-    With ``numba_only`` the scope narrows to the closures of kernels
-    declared for the ``numba`` backend (CP004/CP005 certification).
-    """
-    seen: set[tuple[str, str]] = set()
-    for info in program.kernels:
-        if numba_only and BACKEND_NUMBA not in info.spec.backends:
-            continue
-        for name in info.closure:
-            entry = program.functions.get(name)
-            if entry is None:
-                continue
-            key = (entry.path, entry.name)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield entry
-
-
 # -- CP001 / CP002: dtype propagation -------------------------------------
 
 
-@register_perf_rule
-class SilentPromotion(PerfRule):
+@register_rule
+class SilentPromotion(Rule):
     """CP001: provable float32/float64 mix inside one expression.
 
     Dtype labels propagate from explicit evidence only (``dtype=``
@@ -149,19 +71,19 @@ class SilentPromotion(PerfRule):
         "expression -- the silent upcast doubles memory traffic"
     )
 
-    def check(self, program: PerfProgram) -> Iterable[Violation]:
-        for entry in _unique_functions(program):
-            for promo in infer(entry.fn).promotions:
+    def check(self, facts: KernelFacts) -> Iterable[Violation]:
+        for fn in facts.scanned:
+            for promo in infer(fn.node).promotions:
                 yield self.violation(
-                    entry.path, promo.node,
+                    fn.path, promo.node,
                     f"silent {promo.left}/{promo.right} promotion in "
-                    f"{entry.name}(): pin one operand to the contract "
+                    f"{fn.name}(): pin one operand to the contract "
                     "dtype (COMPUTE_DTYPE / STORAGE_DTYPE)",
                 )
 
 
-@register_perf_rule
-class StrongScalarContamination(PerfRule):
+@register_rule
+class StrongScalarContamination(Rule):
     """CP002: dtype-less scalar-array construction in a kernel body.
 
     ``np.asarray(0.5)`` / ``np.float64(x)`` produce float64 scalar
@@ -178,13 +100,13 @@ class StrongScalarContamination(PerfRule):
         "float32 expressions"
     )
 
-    def check(self, program: PerfProgram) -> Iterable[Violation]:
-        for entry in _unique_functions(program):
-            for ev in infer(entry.fn).strong_scalars:
+    def check(self, facts: KernelFacts) -> Iterable[Violation]:
+        for fn in facts.scanned:
+            for ev in infer(fn.node).strong_scalars:
                 yield self.violation(
-                    entry.path, ev.node,
+                    fn.path, ev.node,
                     f"{ev.func}() wraps a python scalar into a strong "
-                    f"float64 array inside {entry.name}(); pass the bare "
+                    f"float64 array inside {fn.name}(); pass the bare "
                     "scalar (weak under NEP 50) or pin dtype=",
                 )
 
@@ -219,7 +141,7 @@ def _alloc_discipline(fn: ast.AST) -> tuple[int, int]:
                 continue
             alloc += 1
         elif isinstance(node, ast.Call):
-            name = _call_name(node)
+            name = call_name(node)
             has_out = any(kw.arg == "out" for kw in node.keywords)
             if name == "copyto":
                 disciplined += 1
@@ -239,8 +161,8 @@ def _alloc_discipline(fn: ast.AST) -> tuple[int, int]:
     return alloc, disciplined
 
 
-@register_perf_rule
-class HiddenTemporaries(PerfRule):
+@register_rule
+class HiddenTemporaries(Rule):
     """CP003: chained ufunc expressions allocating many intermediates.
 
     Every un-disciplined array binop/ufunc call in a NumPy kernel
@@ -258,93 +180,17 @@ class HiddenTemporaries(PerfRule):
         "call with no out=/workspace reuse (out=/workspace idiom of weno5)"
     )
 
-    def check(self, program: PerfProgram) -> Iterable[Violation]:
-        for entry in _unique_functions(program):
-            alloc, disciplined = _alloc_discipline(entry.fn)
+    def check(self, facts: KernelFacts) -> Iterable[Violation]:
+        for fn in facts.scanned:
+            alloc, disciplined = _alloc_discipline(fn.node)
             if alloc >= ALLOC_THRESHOLD and disciplined * DISCIPLINE_RATIO < alloc:
                 yield self.violation(
-                    entry.path, entry.fn,
-                    f"{entry.name}() allocates ~{alloc} intermediate "
+                    fn.path, fn.node,
+                    f"{fn.name}() allocates ~{alloc} intermediate "
                     f"arrays per call ({disciplined} disciplined ops); "
                     "thread out=/workspace buffers through the hot "
                     "expression chain (out=/workspace idiom of weno5)",
                 )
-
-
-# -- CP004: compiled-subset certification ---------------------------------
-
-#: Constructs Numba nopython mode cannot lower, with display labels.
-_SUBSET_VIOLATIONS: tuple[tuple[type, str], ...] = (
-    (ast.Try, "try/except block"),
-    (ast.With, "context manager"),
-    (ast.Lambda, "lambda closure"),
-    (ast.GeneratorExp, "generator expression"),
-    (ast.ListComp, "list comprehension"),
-    (ast.SetComp, "set comprehension"),
-    (ast.DictComp, "dict comprehension"),
-    (ast.Dict, "dict literal"),
-    (ast.Set, "set literal"),
-    (ast.List, "list literal"),
-    (ast.Global, "global statement"),
-    (ast.Nonlocal, "nonlocal statement"),
-    (ast.Starred, "star-unpacking"),
-)
-
-
-@register_perf_rule
-class CompiledSubset(PerfRule):
-    """CP004: constructs nopython compilation cannot lower.
-
-    Applies to kernels declared for the ``numba`` backend and their
-    helper closures: object-mode constructs (try/except, context
-    managers), closures (lambda, nested def), generator/list/dict
-    comprehensions, dict/list-of-array juggling, and dict-of-functions
-    dispatch through a module-level table.  A kernel carrying CP004
-    findings is de-rated to the ``numpy`` backend in the manifest.
-    """
-
-    rule_id = "CP004"
-    name = "compiled-subset"
-    description = (
-        "construct Numba nopython mode cannot lower inside a kernel "
-        "declared for a compiled backend"
-    )
-
-    def check(self, program: PerfProgram) -> Iterable[Violation]:
-        for entry in _unique_functions(program, numba_only=True):
-            dict_names = program.dict_consts.get(entry.path, set())
-            for node in ast.walk(entry.fn):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    if node is not entry.fn:
-                        yield self.violation(
-                            entry.path, node,
-                            f"nested function {node.name}() inside "
-                            f"{entry.name}(): closures do not lower to "
-                            "nopython code",
-                        )
-                    continue
-                for typ, label in _SUBSET_VIOLATIONS:
-                    if isinstance(node, typ):
-                        yield self.violation(
-                            entry.path, node,
-                            f"{label} inside compiled-target kernel "
-                            f"{entry.name}(): outside the nopython "
-                            "subset",
-                        )
-                        break
-                if (
-                    isinstance(node, ast.Subscript)
-                    and isinstance(node.ctx, ast.Load)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id in dict_names
-                ):
-                    yield self.violation(
-                        entry.path, node,
-                        f"dict-of-functions dispatch "
-                        f"{node.value.id}[...] inside {entry.name}(): "
-                        "replace with an explicit branch for compiled "
-                        "backends",
-                    )
 
 
 # -- CP005: fancy indexing ------------------------------------------------
@@ -355,7 +201,7 @@ def _array_locals(fn: ast.AST) -> set[str]:
     out: set[str] = set()
     for node in ast.walk(fn):
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            name = _call_name(node.value)
+            name = call_name(node.value)
             if name in ELEMENTWISE or name in (
                 "empty", "zeros", "ones", "full", "array", "asarray",
                 "arange", "argsort", "nonzero", "flatnonzero", "argwhere",
@@ -366,28 +212,28 @@ def _array_locals(fn: ast.AST) -> set[str]:
     return out
 
 
-@register_perf_rule
-class FancyIndexing(PerfRule):
+@register_rule
+class FancyIndexing(Rule):
     """CP005: advanced-indexing patterns that block fusion.
 
     Index arrays (gathers), boolean masks and list indices force NumPy
-    through non-contiguous gather paths and cannot fuse in compiled
-    backends; compiled-target kernels must index with slices and
-    integers only.  Conservative: an index *name* is flagged only when
-    it is provably array-valued in the same function.
+    through non-contiguous gather paths and cannot fuse; hot kernels
+    must index with slices and integers only.  Conservative: an index
+    *name* is flagged only when it is provably array-valued in the same
+    function.
     """
 
     rule_id = "CP005"
     name = "fancy-indexing"
     description = (
         "index-array / boolean-mask / list indexing inside a "
-        "compiled-target kernel -- blocks vectorization and fusion"
+        "hot-path kernel -- blocks vectorization and fusion"
     )
 
-    def check(self, program: PerfProgram) -> Iterable[Violation]:
-        for entry in _unique_functions(program, numba_only=True):
-            arrays = _array_locals(entry.fn)
-            for node in ast.walk(entry.fn):
+    def check(self, facts: KernelFacts) -> Iterable[Violation]:
+        for fn in facts.scanned:
+            arrays = _array_locals(fn.node)
+            for node in ast.walk(fn.node):
                 if not isinstance(node, ast.Subscript):
                     continue
                 if not isinstance(node.ctx, ast.Load):
@@ -396,9 +242,9 @@ class FancyIndexing(PerfRule):
                     label = self._fancy_label(idx, arrays)
                     if label is not None:
                         yield self.violation(
-                            entry.path, node,
+                            fn.path, node,
                             f"{label} index inside compiled-target "
-                            f"kernel {entry.name}(): gathers block "
+                            f"kernel {fn.name}(): gathers block "
                             "fusion; use slices/integers or hoist a "
                             "precomputed contiguous view",
                         )
@@ -419,7 +265,7 @@ class FancyIndexing(PerfRule):
         if isinstance(idx, ast.Name) and idx.id in arrays:
             return "index-array"
         if isinstance(idx, ast.Call):
-            name = _call_name(idx)
+            name = call_name(idx)
             if name in ("nonzero", "flatnonzero", "argwhere", "where",
                         "argsort"):
                 return "index-array"
@@ -429,8 +275,8 @@ class FancyIndexing(PerfRule):
 # -- CP006: arithmetic-intensity cross-check ------------------------------
 
 
-@register_perf_rule
-class IntensityDivergence(PerfRule):
+@register_rule
+class IntensityDivergence(Rule):
     """CP006: counted vs modeled arithmetic intensity diverge > 2x.
 
     The AST-level FLOP/operand count of a kernel (same per-point
@@ -448,8 +294,8 @@ class IntensityDivergence(PerfRule):
         ">2x from the shared roofline model table"
     )
 
-    def check(self, program: PerfProgram) -> Iterable[Violation]:
-        for info in program.kernels:
+    def check(self, facts: KernelFacts) -> Iterable[Violation]:
+        for info in facts.kernels:
             model = modeled_arithmetic(info.spec)
             if model is None or info.counted_bytes <= 0:
                 continue
@@ -460,7 +306,7 @@ class IntensityDivergence(PerfRule):
             ratio = max(counted, modeled) / min(counted, modeled)
             if ratio > INTENSITY_TOLERANCE:
                 yield self.violation(
-                    info.entry.path, info.entry.fn,
+                    info.fn.path, info.fn.node,
                     f"{info.spec.name}(): counted intensity "
                     f"{counted:.3f} FLOP/B vs modeled {modeled:.3f} "
                     f"(table key {info.spec.model_key!r}) -- "
@@ -468,63 +314,3 @@ class IntensityDivergence(PerfRule):
                     "repro.perf.kernels.KERNEL_ARITHMETIC are out of "
                     "sync",
                 )
-
-
-# -- entry points ---------------------------------------------------------
-
-
-def check_program(program: PerfProgram) -> PerfReport:
-    """Run every registered perf rule; returns the report.
-
-    Violations honor ``# lint: disable=CPxxx`` pragmas in the analyzed
-    sources; ``checks_run`` counts (function, rule) scan pairs plus the
-    per-kernel cross-checks.
-    """
-    report = PerfReport()
-    rules = [cls() for cls in registered_perf_rules()]
-    scanned = len(list(_unique_functions(program)))
-    report.checks_run = scanned * len(rules) + len(program.kernels)
-    out: list[Violation] = []
-    for rule in rules:
-        for v in rule.check(program):
-            source = program.sources.get(v.path)
-            if source is not None and source.disabled(v.rule, v.line):
-                continue
-            out.append(v)
-    report.violations = sorted(set(out))
-    return report
-
-
-def check_sources(
-    sources: dict[str, str],
-    specs: tuple[KernelSpec, ...] = HOT_KERNELS,
-) -> PerfReport:
-    """perfcheck a mapping of display path -> source text (report)."""
-    return check_program(build_program(sources, specs))
-
-
-def check_paths(
-    paths: Iterable[str | Path],
-    specs: tuple[KernelSpec, ...] = HOT_KERNELS,
-) -> PerfReport:
-    """perfcheck every python file under ``paths``; returns the report."""
-    sources = {
-        str(f): f.read_text(encoding="utf-8") for f in iter_python_files(paths)
-    }
-    return check_sources(sources, specs)
-
-
-def analyze_paths(
-    paths: Iterable[str | Path],
-    specs: tuple[KernelSpec, ...] = HOT_KERNELS,
-) -> tuple[PerfProgram, PerfReport]:
-    """Build the program and run the rules in one step.
-
-    Returns ``(program, report)`` -- what the CLI needs to emit both the
-    findings and the kernel manifest from a single parse.
-    """
-    sources = {
-        str(f): f.read_text(encoding="utf-8") for f in iter_python_files(paths)
-    }
-    program = build_program(sources, specs)
-    return program, check_program(program)

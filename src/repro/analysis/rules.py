@@ -15,15 +15,8 @@ from typing import Iterable, Iterator
 
 from .lint import Rule, SourceFile, Violation, register_rule
 
-#: Quantity-dtype constants that code must reference instead of raw
-#: numpy dtypes (defined in :mod:`repro.physics.state`).
-DTYPE_CONSTANTS = ("STORAGE_DTYPE", "COMPUTE_DTYPE")
-
 #: Attribute names of raw numpy float dtypes covered by CL001.
 _RAW_FLOAT_ATTRS = {"float32", "float64", "single", "double", "half", "float16"}
-
-#: Dtype spellings that indicate a downcast on a compute path (CL003).
-_LOWER_PRECISION = {"float32", "single", "half", "float16", "STORAGE_DTYPE"}
 
 #: Ghost-width literals that must be derived from GHOSTS (CL002).
 _GHOST_LITERALS = {3, 6}
@@ -72,7 +65,7 @@ class NoRawFloatDtypes(Rule):
         for node in ast.walk(source.tree):
             if _is_np_attr(node, _RAW_FLOAT_ATTRS):
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     f"raw dtype np.{node.attr}; use "
                     "STORAGE_DTYPE/COMPUTE_DTYPE from repro.physics.state",
@@ -118,7 +111,7 @@ class NoHardcodedGhostWidth(Rule):
                     lit = self._ghost_literal(bound)
                     if lit is not None:
                         yield self.violation(
-                            source,
+                            source.path,
                             lit,
                             f"hard-coded ghost width {lit.value} in slice; "
                             "derive it from GHOSTS",
@@ -163,7 +156,7 @@ class NoComputePathDowncast(Rule):
             for arg in args:
                 if self._is_lower_precision(arg):
                     yield self.violation(
-                        source,
+                        source.path,
                         node,
                         "downcast .astype() on a compute path; keep "
                         "COMPUTE_DTYPE and down-convert only at the block "
@@ -203,7 +196,7 @@ class NoMutableDefaults(Rule):
             for d in defaults:
                 if self._is_mutable(d):
                     yield self.violation(
-                        source,
+                        source.path,
                         d,
                         f"mutable default argument in {node.name}(); use "
                         "None and create inside the function",
@@ -253,7 +246,7 @@ class NoSilentBroadExcept(Rule):
             if self._is_broad(node) and not self._handles_visibly(node):
                 kind = "bare except" if node.type is None else "broad except"
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     f"{kind} without re-raise or logging hides numerics "
                     "failures; narrow it or handle visibly",
@@ -307,7 +300,7 @@ class ReturnContractDocumented(Rule):
             doc = ast.get_docstring(node)
             if doc is None or not _RETURN_DOC_RE.search(doc):
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     f"public function {node.name}() returns a value but its "
                     "docstring documents no return shape/dtype contract",
@@ -376,14 +369,14 @@ class NoUninitializedRead(Rule):
                 return None
             # Subscript load: reading uninitialized elements.
             return self.violation(
-                source, first,
+                source.path, first,
                 f"'{name}' (np.empty) is read before any element is assigned",
             )
         if isinstance(parent, (ast.keyword, ast.Call)):
             return None
         if isinstance(parent, (ast.BinOp, ast.UnaryOp, ast.Compare, ast.Return, ast.Attribute)):
             return self.violation(
-                source, first,
+                source.path, first,
                 f"'{name}' (np.empty) is read before any element is assigned",
             )
         return None
@@ -461,7 +454,7 @@ class NoRawTimingCalls(Rule):
                 and fn.value.id in aliases
             ):
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     f"raw {fn.value.id}.{fn.attr}() timing; route it "
                     "through repro.telemetry (Tracer.span or clock.now/"
@@ -469,7 +462,7 @@ class NoRawTimingCalls(Rule):
                 )
             elif isinstance(fn, ast.Name) and fn.id in from_names:
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     f"raw time-module call {fn.id}(); route it through "
                     "repro.telemetry (Tracer.span or clock.now/wall_now)",
@@ -519,7 +512,7 @@ class BoundedRecoveryLoops(Rule):
         for node in ast.walk(source.tree):
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     "bare except in a resilience-critical path; name the "
                     "exceptions you recover from",
@@ -531,7 +524,7 @@ class BoundedRecoveryLoops(Rule):
                 and not self._is_bounded(node)
             ):
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     "unbounded 'while True' retry/wait loop; raise on "
                     "exhaustion or check a deadline/attempt bound",
@@ -697,7 +690,7 @@ class UnsynchronizedSharedMutation(Rule):
             if self._under_lock(anchor, parents):
                 continue
             yield self.violation(
-                source,
+                source.path,
                 anchor,
                 f"unsynchronized {verb} on {shared} state "
                 f"{ast.unparse(base)!r}; hold a lock or justify with a "
@@ -742,7 +735,7 @@ class NoBarePrintInLibrary(Rule):
                 and node.func.id == "print"
             ):
                 yield self.violation(
-                    source,
+                    source.path,
                     node,
                     "bare print() in library code; use "
                     "repro.telemetry.log.get_logger(...) (or justify "

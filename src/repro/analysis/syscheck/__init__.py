@@ -1,49 +1,16 @@
 """sys-check: resource-lifecycle & process-safety analysis (RS rules).
 
-The fourth analysis family.  Static side: RS001-RS007 abstractly
-interpret the multi-process layers (``cluster/procs.py``,
-``cluster/mpi_sim.py``, the service layer, resilience, the flight
-recorder) and prove acquire/release discipline, shared-memory
-ownership, lock/blocking separation, spawn safety, thread joins,
-atomic durable writes and SIGKILL-window hygiene.  Dynamic side:
-:class:`ResourceLedger`, the leak sanitizer the test suite wraps
-around every cluster/service/chaos test.
-
-Entry points mirror comm-check: ``check_paths`` / ``check_sources``
-for the static pass, ``python -m repro.analysis --sys`` on the CLI.
+Static side: RS001-RS007 abstractly interpret the multi-process layers
+(``cluster/procs.py``, ``cluster/mpi_sim.py``, the service layer,
+resilience, the flight recorder) and prove acquire/release discipline,
+shared-memory ownership, lock/blocking separation, spawn safety, thread
+joins, atomic durable writes and SIGKILL-window hygiene; run it with
+``python -m repro.analysis --sys``.  Dynamic side:
+:class:`ResourceLedger`, the leak sanitizer the test suite wraps around
+every cluster/service/chaos test.
 """
 
-from .ledger import DEFAULT_KINDS, LeakError, ResourceLedger
-from .model import DURABLE_WRITER_PATHS, RELEASERS, RESOURCE_CTORS, SYS_SCOPE
-from .program import SysProgram
-from .report import SysReport
-from .rules import (
-    SYS_REGISTRY,
-    build_program,
-    SysRule,
-    check_paths,
-    check_program,
-    check_sources,
-    register_sys_rule,
-    registered_sys_rules,
-)
+from .facts import SysFacts
+from .ledger import LeakError, ResourceLedger
 
-__all__ = [
-    "DEFAULT_KINDS",
-    "DURABLE_WRITER_PATHS",
-    "LeakError",
-    "RELEASERS",
-    "RESOURCE_CTORS",
-    "ResourceLedger",
-    "SYS_REGISTRY",
-    "SYS_SCOPE",
-    "SysProgram",
-    "SysReport",
-    "SysRule",
-    "build_program",
-    "check_paths",
-    "check_program",
-    "check_sources",
-    "register_sys_rule",
-    "registered_sys_rules",
-]
+__all__ = ["LeakError", "ResourceLedger", "SysFacts"]

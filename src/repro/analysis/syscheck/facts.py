@@ -1,22 +1,16 @@
 """Whole-program resource/process facts for the RS rules.
 
-Mirrors the comm-check extraction strategy
-(:mod:`repro.analysis.concurrency.commcheck`): parse every source into
-the shared :class:`~repro.analysis.lint.SourceFile`, build a
-program-wide function table, then compute per-function *facts* --
-resource acquisitions with their release/escape structure, lockset
-regions with the calls they cover, blocking-call sites, spawn targets
-and durable-write sites.  The rules in
+Reads the shared :class:`~repro.analysis.program.Program` and computes
+per-function *facts* -- resource acquisitions with their release/escape
+structure, lockset regions with the calls they cover, blocking-call
+sites, spawn targets and durable-write sites.  The rules in
 :mod:`repro.analysis.syscheck.rules` are thin pattern matches over
 these facts.
 
 Bounded like comm-check: one level of helper substitution (a helper
 that *returns* a resource it created makes its call sites
-acquisitions; a callee whose body blocks makes its call sites
-blocking), resolved through the call graph by bare name with a
-receiver-text hint for generic names (``self.cache.get`` resolves to
-``ResultCache.get``; ``self._jobs.get`` -- a dict -- resolves to
-nothing).
+acquisitions); a callee whose body blocks makes its call sites
+blocking, propagated through the program's call resolver.
 """
 
 from __future__ import annotations
@@ -24,13 +18,12 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from ..lint import SourceFile
+from ..program import Function, Program, call_name, dotted, kwarg, own_nodes
 from .model import (
     BLOCKING_ATTRS,
     BLOCKING_CALLS,
     BLOCKING_PATH_IO,
     EAGER_KINDS,
-    GENERIC_NAMES,
     LOCKLIKE_HINTS,
     QUEUE_RECEIVER_SUFFIXES,
     RELEASERS,
@@ -44,37 +37,8 @@ _LOOP_NODES = (ast.For, ast.AsyncFor, ast.While)
 _COMP_NODES = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 
-def _dotted(node: ast.AST) -> str:
-    """``a.b.c`` for Name/Attribute chains, '' for anything else."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
-
-
-def _callee_bare(call: ast.Call) -> str:
-    """Last path component of the called expression ('' if exotic)."""
-    func = call.func
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return ""
-
-
 def _ctor_kind(call: ast.Call) -> str | None:
-    return RESOURCE_CTORS.get(_callee_bare(call))
-
-
-def _kw(call: ast.Call, name: str) -> ast.expr | None:
-    for kw in call.keywords:
-        if kw.arg == name:
-            return kw.value
-    return None
+    return RESOURCE_CTORS.get(call_name(call))
 
 
 def _is_true(node: ast.expr | None) -> bool:
@@ -83,9 +47,9 @@ def _is_true(node: ast.expr | None) -> bool:
 
 def _locklike(expr: ast.expr) -> str | None:
     """Source text of a lock-acquiring ``with`` item, else ``None``."""
-    if isinstance(expr, ast.Call) and _callee_bare(expr) == "get_lock":
-        return _dotted(expr.func.value) + ".get_lock()"
-    text = _dotted(expr)
+    if isinstance(expr, ast.Call) and call_name(expr) == "get_lock":
+        return dotted(expr.func.value) + ".get_lock()"
+    text = dotted(expr)
     low = text.lower()
     if text and any(h in low for h in LOCKLIKE_HINTS):
         return text
@@ -98,16 +62,16 @@ def _blocking_reason(call: ast.Call, held: frozenset = frozenset()) -> str | Non
     ``held`` is the set of held lock texts: waiting on the held lock
     itself (``with cv: cv.wait()``) releases it and is exempt.
     """
-    dotted = _dotted(call.func)
-    bare = _callee_bare(call)
-    if dotted in BLOCKING_CALLS or (not isinstance(call.func, ast.Attribute)
-                                    and bare in ("open", "sleep")):
-        return f"{dotted or bare}() is blocking IO"
+    name = dotted(call.func)
+    bare = call_name(call)
+    if name in BLOCKING_CALLS or (not isinstance(call.func, ast.Attribute)
+                                  and bare in ("open", "sleep")):
+        return f"{name or bare}() is blocking IO"
     if not isinstance(call.func, ast.Attribute):
         return None
     attr = call.func.attr
     recv_node = call.func.value
-    recv = _dotted(recv_node)
+    recv = dotted(recv_node)
     if attr in BLOCKING_ATTRS:
         # ", ".join(...) / os.path.join(...) are not thread joins.
         if attr == "join" and (
@@ -208,15 +172,11 @@ class LockedCall:
     held: frozenset  # lock texts
 
 
-@dataclass
+@dataclass(eq=False)
 class FuncInfo:
-    path: str
-    name: str
-    qualname: str
-    class_name: str | None
-    node: ast.AST
-    module_level: bool
-    # -- facts (filled by the analysis passes) --
+    """The resource/blocking facts of one function of the program."""
+
+    fn: Function
     acquisitions: list[Acquisition] = field(default_factory=list)
     locked_calls: list[LockedCall] = field(default_factory=list)
     blocking_direct: list[tuple] = field(default_factory=list)
@@ -231,41 +191,48 @@ class FuncInfo:
     returns_started_thread: bool = False
 
 
-class SysProgram:
-    """Parsed sources plus the program-wide fact tables."""
+class SysFacts:
+    """The program's functions with their resource/blocking facts."""
 
-    def __init__(self, sources: dict[str, SourceFile]):
-        self.sources = sources
-        #: bare name -> [FuncInfo] across every file
-        self.functions: dict[str, list[FuncInfo]] = {}
+    def __init__(self, program: Program):
+        self.program = program
+        #: one entry per function, in the program's table order
+        self.infos = [FuncInfo(fn) for fn in program.functions]
+        self.info = {i.fn: i for i in self.infos}
         #: path -> module-level names bound to mutable literals
         self.module_mutables: dict[str, set] = {}
         #: path -> SharedMemory facts for RS002
         self.shm_creates: dict[str, list[ast.Call]] = {}
         self.shm_attaches: dict[str, list[ast.Call]] = {}
         self.shm_unlinks: dict[str, list[ast.AST]] = {}
-        self._infos: list[FuncInfo] = []
-        self._parents: dict[str, dict] = {}
-        for path in sorted(sources):
-            self._extract(path, sources[path])
+        for path, src in program.sources.items():
+            self._extract(path, src.tree)
         # Pass 1: direct facts (needed before helper substitution can
         # resolve resource-returning callees in any order).
-        for info in self._infos:
+        for info in self.infos:
             self._analyze_direct(info)
             self._returned_resources(info)
         # Pass 2: one-level helper substitution + lockset regions.
-        for info in self._infos:
+        for info in self.infos:
             self._analyze_helpers(info)
             self._find_locked_calls(info)
-        self._bearing = self._compute_bearing()
+        self._bearing = program.propagate(
+            {i.fn: i.blocking_direct[0][1] for i in self.infos
+             if i.blocking_direct},
+            lambda callee, reason: f"calls {callee.qualname}() which {reason}",
+        )
+
+    def checks_run(self, rules: list, config) -> int:
+        """(function, rule) pairs over functions some rule scopes in."""
+        sites = [i for i in self.infos
+                 if any(config.applies(r, i.fn.path) for r in rules)]
+        return len(sites) * len(rules)
 
     # -- extraction ---------------------------------------------------
 
-    def _extract(self, path: str, src: SourceFile) -> None:
-        parents = src.parents()
-        self._parents[path] = parents
+    def _extract(self, path: str, tree: ast.Module) -> None:
         mutables = set()
-        for stmt in src.tree.body:
+        for stmt in tree.body:
             if isinstance(stmt, ast.Assign) and isinstance(
                 stmt.value, (ast.Dict, ast.List, ast.Set)
             ):
@@ -274,69 +241,40 @@ class SysProgram:
                         mutables.add(t.id)
         self.module_mutables[path] = mutables
         creates, attaches, unlinks = [], [], []
-        for node in ast.walk(src.tree):
-            if isinstance(node, ast.Call):
-                if _callee_bare(node) == "SharedMemory":
-                    if _is_true(_kw(node, "create")):
-                        creates.append(node)
-                    else:
-                        attaches.append(node)
-                elif (isinstance(node.func, ast.Attribute)
-                      and node.func.attr == "unlink"
-                      and _dotted(node.func.value)):
-                    unlinks.append(node)
-            if isinstance(node, _FUNC_NODES):
-                cls = parents.get(node)
-                class_name = cls.name if isinstance(cls, ast.ClassDef) else None
-                enclosing = parents.get(node)
-                nested = False
-                while enclosing is not None:
-                    if isinstance(enclosing, _FUNC_NODES):
-                        nested = True
-                        break
-                    enclosing = parents.get(enclosing)
-                qual = f"{class_name}.{node.name}" if class_name else node.name
-                info = FuncInfo(
-                    path=path, name=node.name, qualname=qual,
-                    class_name=class_name, node=node,
-                    module_level=not nested,
-                )
-                self._infos.append(info)
-                self.functions.setdefault(node.name, []).append(info)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if call_name(node) == "SharedMemory":
+                if _is_true(kwarg(node, "create")):
+                    creates.append(node)
+                else:
+                    attaches.append(node)
+            elif (isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "unlink"
+                  and dotted(node.func.value)):
+                unlinks.append(node)
         self.shm_creates[path] = creates
         self.shm_attaches[path] = attaches
         self.shm_unlinks[path] = unlinks
 
     # -- per-function facts --------------------------------------------
 
-    def infos(self) -> list[FuncInfo]:
-        return list(self._infos)
-
     def parents_of(self, info: FuncInfo) -> dict:
-        return self._parents[info.path]
-
-    def _own_nodes(self, fn: ast.AST):
-        """Walk ``fn`` skipping nested function/lambda bodies."""
-        stack = list(ast.iter_child_nodes(fn))
-        while stack:
-            node = stack.pop()
-            yield node
-            if not isinstance(node, _FUNC_NODES + (ast.Lambda,)):
-                stack.extend(ast.iter_child_nodes(node))
+        return self.program.sources[info.fn.path].parents()
 
     def _analyze_direct(self, info: FuncInfo) -> None:
-        parents = self._parents[info.path]
-        for node in self._own_nodes(info.node):
+        parents = self.parents_of(info)
+        for node in own_nodes(info.fn.node):
             if not isinstance(node, ast.Call):
                 continue
             reason = _blocking_reason(node)
             if reason is not None:
                 info.blocking_direct.append((node, reason))
-            dotted = _dotted(node.func)
-            bare = _callee_bare(node)
-            if dotted == "os.fsync":
+            name = dotted(node.func)
+            bare = call_name(node)
+            if name == "os.fsync":
                 info.calls_fsync = True
-            if dotted in ("os.replace", "os.rename"):
+            if name in ("os.replace", "os.rename"):
                 info.calls_replace = True
             if bare == "join":
                 info.has_any_join = True
@@ -344,7 +282,7 @@ class SysProgram:
                 info.spawn_sites.append(node)
             if bare == "open":
                 mode = (node.args[1] if len(node.args) > 1
-                        else _kw(node, "mode"))
+                        else kwarg(node, "mode"))
                 if (isinstance(mode, ast.Constant)
                         and isinstance(mode.value, str)
                         and mode.value.startswith(("w", "x"))):
@@ -352,7 +290,7 @@ class SysProgram:
             if bare in ("write_text", "write_bytes"):
                 info.path_writes.append(node)
         acqs: list[Acquisition] = []
-        for node in self._own_nodes(info.node):
+        for node in own_nodes(info.fn.node):
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 value = node.value
                 if not isinstance(value, ast.Call):
@@ -363,10 +301,10 @@ class SysProgram:
                 targets = (node.targets if isinstance(node, ast.Assign)
                            else [node.target])
                 if len(targets) == 1 and isinstance(targets[0], ast.Name):
-                    daemon_kw = _kw(value, "daemon")
+                    daemon_kw = kwarg(value, "daemon")
                     acqs.append(Acquisition(
                         var=targets[0].id, kind=kind, call=value, stmt=node,
-                        create=_is_true(_kw(value, "create")),
+                        create=_is_true(kwarg(value, "create")),
                         daemon=(True if _is_true(daemon_kw)
                                 else (False if daemon_kw is not None
                                       else None)),
@@ -380,7 +318,7 @@ class SysProgram:
                     acqs.append(Acquisition(
                         var=None, kind=kind, call=call, stmt=node,
                         discarded=True,
-                        create=_is_true(_kw(call, "create")),
+                        create=_is_true(kwarg(call, "create")),
                     ))
         for acq in acqs:
             if acq.var is not None:
@@ -390,9 +328,9 @@ class SysProgram:
 
     def _analyze_helpers(self, info: FuncInfo) -> None:
         """One-level substitution of resource-returning local helpers."""
-        parents = self._parents[info.path]
+        parents = self.parents_of(info)
         extra: list[Acquisition] = []
-        for node in self._own_nodes(info.node):
+        for node in own_nodes(info.fn.node):
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
                 value = node.value
                 if not isinstance(value, ast.Call) or _ctor_kind(value):
@@ -413,7 +351,7 @@ class SysProgram:
                         extra.append(Acquisition(
                             var=name, kind=hk, call=value, stmt=node,
                             started=helper.returns_started_thread,
-                            from_helper=helper.qualname,
+                            from_helper=helper.fn.qualname,
                         ))
             elif isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
                 call = node.value
@@ -429,7 +367,7 @@ class SysProgram:
                         var=None, kind=kinds or "thread", call=call,
                         stmt=node, discarded=True,
                         started=helper.returns_started_thread,
-                        from_helper=helper.qualname,
+                        from_helper=helper.fn.qualname,
                     ))
         for acq in extra:
             if acq.var is not None:
@@ -439,7 +377,7 @@ class SysProgram:
 
     def _resource_helper(self, call: ast.Call, info: FuncInfo):
         """The resource-returning local helper this call invokes, if any."""
-        target = self._resolve_callee(call, info)
+        target = self.resolve(call, info)
         if target is not None and (target.returned_kinds
                                    or target.returns_started_thread):
             return target
@@ -447,10 +385,10 @@ class SysProgram:
 
     def _trace_var(self, info: FuncInfo, acq: Acquisition,
                    parents: dict) -> None:
-        fn = info.node
+        fn = info.fn.node
         var = acq.var
         releasers = RELEASERS.get(acq.kind, frozenset())
-        for node in self._own_nodes(fn):
+        for node in own_nodes(fn):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 recv = node.func.value
                 if isinstance(recv, ast.Name) and recv.id == var:
@@ -493,7 +431,7 @@ class SysProgram:
                 if self._escapes(node, parents):
                     acq.escaped = True
         if acq.kind in WITH_RELEASED_KINDS:
-            for node in self._own_nodes(fn):
+            for node in own_nodes(fn):
                 if isinstance(node, ast.With):
                     for item in node.items:
                         if isinstance(item.context_expr, ast.Name) \
@@ -554,7 +492,7 @@ class SysProgram:
             return
         cur = acq.call
         loop = None
-        while cur is not None and cur is not info.node:
+        while cur is not None and cur is not info.fn.node:
             cur = parents.get(cur)
             if isinstance(cur, _LOOP_NODES + _COMP_NODES):
                 loop = cur
@@ -564,7 +502,7 @@ class SysProgram:
         acq.bulk = True
         releasers = RELEASERS.get(acq.kind, frozenset())
         cur = loop
-        while cur is not None and cur is not info.node:
+        while cur is not None and cur is not info.fn.node:
             cur = parents.get(cur)
             if isinstance(cur, ast.Try):
                 cleanup = list(cur.finalbody)
@@ -577,10 +515,6 @@ class SysProgram:
                                 and c.func.attr in releasers):
                             acq.bulk_guarded = True
                             return
-        # A helper-returned collection released by the caller inside a
-        # try/finally also counts as guarded at the acquiring side when
-        # the loop lives inside that same function's try.  (Handled
-        # above; nothing more to do here.)
 
     def risky_between(self, info: FuncInfo, lo: int, hi: int,
                       exclude_receiver: str | None = None) -> bool:
@@ -590,7 +524,7 @@ class SysProgram:
         process/thread handles, where ``h.start()`` raising means no OS
         state was created and there is nothing to leak.
         """
-        for node in self._own_nodes(info.node):
+        for node in own_nodes(info.fn.node):
             if not isinstance(node, (ast.Call, ast.Raise, ast.Assert)):
                 continue
             if not lo < getattr(node, "lineno", lo) < hi:
@@ -651,7 +585,7 @@ class SysProgram:
                 if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call) \
                         and isinstance(stmt.value.func, ast.Attribute):
                     attr = stmt.value.func.attr
-                    recv = _dotted(stmt.value.func.value)
+                    recv = dotted(stmt.value.func.value)
                     if recv and any(h in recv.lower() for h in LOCKLIKE_HINTS):
                         if attr == "acquire":
                             span.add(recv)
@@ -661,7 +595,7 @@ class SysProgram:
                             continue
                 visit_stmt_fields(stmt, cur)
 
-        visit_block(list(info.node.body), frozenset())
+        visit_block(list(info.fn.node.body), frozenset())
         info.locked_calls = out
 
     # .. resource-returning helpers ....................................
@@ -670,7 +604,7 @@ class SysProgram:
         kinds: set = set()
         started = False
         returned_names: set = set()
-        for node in self._own_nodes(info.node):
+        for node in own_nodes(info.fn.node):
             if isinstance(node, ast.Return) and node.value is not None:
                 for sub in ast.walk(node.value):
                     if isinstance(sub, ast.Name):
@@ -686,7 +620,7 @@ class SysProgram:
             via_container = False
             if not direct:
                 # h appended to a local list that is itself returned
-                for node in self._own_nodes(info.node):
+                for node in own_nodes(info.fn.node):
                     if (isinstance(node, ast.Call)
                             and isinstance(node.func, ast.Attribute)
                             and node.func.attr in ("append", "add")
@@ -703,83 +637,21 @@ class SysProgram:
         info.returned_kinds = frozenset(kinds)
         info.returns_started_thread = started
 
-    # -- call-graph resolution -----------------------------------------
-
-    def _hints(self, cand: FuncInfo) -> tuple:
-        stem = cand.path.rsplit("/", 1)[-1]
-        stem = stem[:-3] if stem.endswith(".py") else stem
-        hints = [stem.lower()]
-        if cand.class_name:
-            hints.append(cand.class_name.lower().lstrip("_"))
-        return tuple(hints)
-
-    def _resolve_callee(self, call: ast.Call, info: FuncInfo) -> FuncInfo | None:
-        bare = _callee_bare(call)
-        if not bare:
-            return None
-        cands = self.functions.get(bare, [])
-        if not cands:
-            return None
-        func = call.func
-        if isinstance(func, ast.Name):
-            same_file = [c for c in cands if c.path == info.path]
-            if len(same_file) == 1:
-                return same_file[0]
-            if len(cands) == 1 and bare not in GENERIC_NAMES:
-                return cands[0]
-            return None
-        recv = _dotted(func.value)
-        if recv == "self":
-            own = [c for c in cands if c.path == info.path
-                   and c.class_name == info.class_name]
-            if len(own) == 1:
-                return own[0]
-            return None
-        if bare not in GENERIC_NAMES:
-            if len(cands) == 1:
-                return cands[0]
-            same_file = [c for c in cands if c.path == info.path]
-            if len(same_file) == 1:
-                return same_file[0]
-            return None
-        # Generic name (`get`, `put`, ...): require the receiver text to
-        # name the defining module or class, so `self.cache.get` finds
-        # ResultCache.get while `self._jobs.get` (a dict) finds nothing.
-        low = recv.lower()
-        hinted = [c for c in cands
-                  if any(h and h in low for h in self._hints(c))]
-        if len(hinted) == 1:
-            return hinted[0]
-        return None
-
-    def _compute_bearing(self) -> dict:
-        """``id(FuncInfo) -> reason`` for every blocking-bearing function."""
-        bearing: dict[int, str] = {}
-        for info in self._infos:
-            if info.blocking_direct:
-                _, reason = info.blocking_direct[0]
-                bearing[id(info)] = reason
-        changed = True
-        while changed:
-            changed = False
-            for info in self._infos:
-                if id(info) in bearing:
-                    continue
-                for node in self._own_nodes(info.node):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    target = self._resolve_callee(node, info)
-                    if target is not None and id(target) in bearing:
-                        bearing[id(info)] = (
-                            f"calls {target.qualname}() which "
-                            f"{bearing[id(target)]}"
-                        )
-                        changed = True
-                        break
-        return bearing
-
     def bearing_reason(self, target: FuncInfo) -> str | None:
-        return self._bearing.get(id(target))
+        """Why calling ``target`` blocks (directly or through callees)."""
+        return self._bearing.get(target.fn)
+
+    def spawn_target(self, info: FuncInfo, call: ast.Call) -> FuncInfo | None:
+        """The unique same-file function a ``Process(target=...)`` spawns."""
+        target = kwarg(call, "target")
+        if not isinstance(target, (ast.Name, ast.Attribute)):
+            return None
+        bare = dotted(target).rsplit(".", 1)[-1]
+        cands = [f for f in self.program.by_name.get(bare, [])
+                 if f.path == info.fn.path]
+        return self.info[cands[0]] if len(cands) == 1 else None
 
     def resolve(self, call: ast.Call, info: FuncInfo) -> FuncInfo | None:
-        return self._resolve_callee(call, info)
+        """The facts of the function a call inside ``info`` invokes."""
+        target = self.program.resolve(call, info.fn.path, info.fn.class_name)
+        return self.info[target] if target is not None else None

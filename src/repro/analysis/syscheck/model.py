@@ -1,8 +1,8 @@
 """Resource vocabulary of the sys-check analysis.
 
 One place answers "what is a resource, what releases it, what blocks":
-the RS rules (:mod:`repro.analysis.syscheck.rules`) and the program
-builder (:mod:`repro.analysis.syscheck.program`) consume these tables
+the RS rules (:mod:`repro.analysis.syscheck.rules`) and the fact
+extractor (:mod:`repro.analysis.syscheck.facts`) consume these tables
 instead of hard-coding call names, so proving a new resource type is a
 table edit plus a fixture test (see ``docs/analysis.md``).
 """
@@ -37,7 +37,7 @@ EAGER_KINDS = frozenset({"segment", "file"})
 WITH_RELEASED_KINDS = frozenset({"file"})
 
 #: Attribute names that block the calling thread unconditionally.
-#: ``join`` carries a string/path exclusion in the program builder
+#: ``join`` carries a string/path exclusion in the fact extractor
 #: (``", ".join`` / ``os.path.join`` are not thread joins).
 BLOCKING_ATTRS = frozenset({
     "join", "join_thread", "recv", "recv_bytes", "accept", "select",
@@ -68,20 +68,6 @@ BLOCKING_PATH_IO = frozenset({
 #: shared with :mod:`repro.analysis.concurrency.race`).
 LOCKLIKE_HINTS = ("lock", "mutex", "_cv", "cond")
 
-#: Method names too generic to resolve through the call graph by name
-#: alone -- a call-site edge for one of these additionally needs the
-#: receiver text to mention the defining module or class (so
-#: ``self.cache.get`` resolves to ``ResultCache.get`` while
-#: ``self._jobs.get`` -- a dict -- resolves to nothing).
-GENERIC_NAMES = frozenset({
-    "get", "put", "read", "write", "close", "join", "open", "send",
-    "recv", "pop", "update", "append", "extend", "clear", "flush",
-    "wait", "start", "stop", "run", "copy", "add", "remove", "acquire",
-    "release", "submit", "result", "info", "warn", "error", "debug",
-    "fire", "next", "items", "keys", "values", "format", "drain",
-    "key", "snapshot",
-})
-
 #: Path patterns (``repro.analysis.lint.path_matches`` syntax) the RS
 #: rules apply to by default: the multi-process layers.  Files outside
 #: the scope still feed the whole-program call graph (cross-file
@@ -98,6 +84,5 @@ SYS_SCOPE = (
 DURABLE_WRITER_PATHS = (
     "cluster/checkpoint.py",
     "service/cache.py",
-    "perfcheck/manifest.py",
     "validation/baselines.py",
 )

@@ -1,71 +1,30 @@
 """RS-series rules: resource lifecycle and process safety.
 
-Each rule consumes the facts of a :class:`~repro.analysis.syscheck.
-program.SysProgram` and emits :class:`~repro.analysis.lint.Violation`
-records.  Findings honour the shared ``# lint: disable=RSxxx`` pragma
-system; the rule catalogue lives in ``docs/analysis.md``.
+Each rule consumes the :class:`~repro.analysis.syscheck.facts.SysFacts`
+of the program and emits :class:`~repro.analysis.lint.Violation`
+records; findings are reported only in the rule's path scope
+(:data:`~repro.analysis.syscheck.model.SYS_SCOPE` by default) and
+honour the shared ``# lint: disable=RSxxx`` pragma system.  The rule
+catalogue lives in ``docs/analysis.md``.
 """
 
 from __future__ import annotations
 
 import ast
 
-from ..lint import SourceFile, Violation, iter_python_files, path_matches
+from ..lint import Rule, Violation, register_rule
+from ..program import call_name, dotted, kwarg, own_nodes
+from .facts import FuncInfo, SysFacts, _blocking_reason
 from .model import DURABLE_WRITER_PATHS, EAGER_KINDS, SYS_SCOPE
-from .program import (
-    FuncInfo,
-    SysProgram,
-    _blocking_reason,
-    _callee_bare,
-    _dotted,
-    _kw,
-)
-from .report import SysReport
-
-#: rule_id -> rule class
-SYS_REGISTRY: dict[str, type] = {}
 
 
-def register_sys_rule(cls):
-    """Class decorator adding an RS rule to the registry."""
-    SYS_REGISTRY[cls.rule_id] = cls
-    return cls
+class SysRule(Rule):
+    """An RS rule: findings default to the multi-process layers."""
+
+    default_paths = SYS_SCOPE
 
 
-def registered_sys_rules() -> list:
-    """Instances of every registered RS rule, sorted by id."""
-    return [SYS_REGISTRY[k]() for k in sorted(SYS_REGISTRY)]
-
-
-class SysRule:
-    """Base class of the RS-series whole-program rules."""
-
-    rule_id: str = "RS000"
-    name: str = ""
-    description: str = ""
-    #: path patterns findings are restricted to (lint.path_matches)
-    paths: tuple = SYS_SCOPE
-
-    def in_scope(self, path: str) -> bool:
-        return any(path_matches(path, p) for p in self.paths)
-
-    def scoped(self, program: SysProgram) -> list[FuncInfo]:
-        return [i for i in program.infos() if self.in_scope(i.path)]
-
-    def violation(self, info: FuncInfo, node: ast.AST, message: str) -> Violation:
-        return Violation(
-            path=info.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
-            rule=self.rule_id,
-            message=message,
-        )
-
-    def check(self, program: SysProgram) -> list[Violation]:
-        raise NotImplementedError
-
-
-@register_sys_rule
+@register_rule
 class ReleaseOnAllPaths(SysRule):
     """RS001: a resource handle must be released on every path."""
 
@@ -77,14 +36,14 @@ class ReleaseOnAllPaths(SysRule):
         "try/finally, or unconditional straight-line release)."
     )
 
-    def check(self, program: SysProgram) -> list[Violation]:
+    def check(self, facts: SysFacts) -> list[Violation]:
         out: list[Violation] = []
-        for info in self.scoped(program):
+        for info in facts.infos:
             for acq in info.acquisitions:
-                out.extend(self._check_acq(program, info, acq))
+                out.extend(self._check_acq(facts, info, acq))
         return out
 
-    def _check_acq(self, program, info, acq) -> list[Violation]:
+    def _check_acq(self, facts, info, acq) -> list[Violation]:
         out = []
         what = (f"the {acq.kind} from {acq.from_helper}()"
                 if acq.from_helper else f"this {acq.kind}")
@@ -93,7 +52,7 @@ class ReleaseOnAllPaths(SysRule):
                       if acq.from_helper
                       else f"a {acq.kind} handle is created")
             out.append(self.violation(
-                info, acq.call,
+                info.fn.path, acq.call,
                 f"{origin} and discarded at the call site: the handle "
                 f"can never be released -- bind it and release on every "
                 f"path",
@@ -101,7 +60,7 @@ class ReleaseOnAllPaths(SysRule):
             return out
         if acq.bulk and not acq.bulk_guarded:
             out.append(self.violation(
-                info, acq.call,
+                info.fn.path, acq.call,
                 f"bulk {acq.kind} acquisition in a loop is not "
                 f"exception-safe: a mid-loop failure leaks every handle "
                 f"acquired so far -- wrap the loop in try/except and "
@@ -113,9 +72,9 @@ class ReleaseOnAllPaths(SysRule):
             return out  # no OS state before .start()
         if not acq.releases:
             out.append(self.violation(
-                info, acq.call,
+                info.fn.path, acq.call,
                 f"{what} acquired here is never released in "
-                f"{info.qualname}() on any path",
+                f"{info.fn.qualname}() on any path",
             ))
             return out
         if any(r.covered_by_finally for r in acq.releases):
@@ -126,10 +85,10 @@ class ReleaseOnAllPaths(SysRule):
         fin = next((r for r in acq.releases if r.finally_after_acq), None)
         if fin is not None:
             lo = getattr(acq.stmt, "end_lineno", acq.stmt.lineno)
-            if program.risky_between(info, lo, fin.guard_try.lineno,
+            if facts.risky_between(info, lo, fin.guard_try.lineno,
                                      exclude_receiver=excl):
                 out.append(self.violation(
-                    info, acq.call,
+                    info.fn.path, acq.call,
                     f"{what} is acquired before the try/finally that "
                     f"releases it (line {fin.guard_try.lineno}): an "
                     f"exception in between leaks the handle -- acquire "
@@ -139,7 +98,7 @@ class ReleaseOnAllPaths(SysRule):
         unconditional = [r for r in acq.releases if not r.conditional]
         if not unconditional:
             out.append(self.violation(
-                info, acq.call,
+                info.fn.path, acq.call,
                 f"{what} is released only on some paths (line(s) "
                 f"{', '.join(str(r.line) for r in acq.releases)}): "
                 f"branches that skip the release leak the handle",
@@ -147,10 +106,10 @@ class ReleaseOnAllPaths(SysRule):
             return out
         first = min(unconditional, key=lambda r: r.line)
         lo = getattr(acq.stmt, "end_lineno", acq.stmt.lineno)
-        if program.risky_between(info, lo, first.line,
+        if facts.risky_between(info, lo, first.line,
                                  exclude_receiver=excl):
             out.append(self.violation(
-                info, acq.call,
+                info.fn.path, acq.call,
                 f"{what} is released at line {first.line} but a call "
                 f"in between can raise and leak the handle -- use "
                 f"try/finally or a with block",
@@ -158,7 +117,7 @@ class ReleaseOnAllPaths(SysRule):
         return out
 
 
-@register_sys_rule
+@register_rule
 class SegmentOwnership(SysRule):
     """RS002: shared_memory create/unlink ownership discipline."""
 
@@ -169,40 +128,31 @@ class SegmentOwnership(SysRule):
         "must also unlink it; attach-only sides must never unlink."
     )
 
-    def check(self, program: SysProgram) -> list[Violation]:
+    def check(self, facts: SysFacts) -> list[Violation]:
         out: list[Violation] = []
-        for path, src in program.sources.items():
-            if not self.in_scope(path):
-                continue
-            creates = program.shm_creates.get(path, [])
-            attaches = program.shm_attaches.get(path, [])
-            unlinks = program.shm_unlinks.get(path, [])
+        for path, creates in facts.shm_creates.items():
+            attaches = facts.shm_attaches[path]
+            unlinks = facts.shm_unlinks[path]
             if creates and not unlinks:
                 for node in creates:
-                    out.append(Violation(
-                        path=path, line=node.lineno, col=node.col_offset,
-                        rule=self.rule_id,
-                        message=(
-                            "SharedMemory(create=True) without any "
-                            ".unlink() in this module: the segment "
-                            "outlives every process of the world"
-                        ),
+                    out.append(self.violation(
+                        path, node,
+                        "SharedMemory(create=True) without any "
+                        ".unlink() in this module: the segment "
+                        "outlives every process of the world",
                     ))
             if attaches and not creates and unlinks:
                 for node in unlinks:
-                    out.append(Violation(
-                        path=path, line=node.lineno, col=node.col_offset,
-                        rule=self.rule_id,
-                        message=(
-                            "attach-only module calls .unlink(): only "
-                            "the creating side owns segment removal "
-                            "(double-unlink races the owner)"
-                        ),
+                    out.append(self.violation(
+                        path, node,
+                        "attach-only module calls .unlink(): only "
+                        "the creating side owns segment removal "
+                        "(double-unlink races the owner)",
                     ))
         return out
 
 
-@register_sys_rule
+@register_rule
 class LockAcrossBlocking(SysRule):
     """RS003: no blocking call while holding a lock."""
 
@@ -215,34 +165,34 @@ class LockAcrossBlocking(SysRule):
         "Waiting on the held condition itself is exempt."
     )
 
-    def check(self, program: SysProgram) -> list[Violation]:
+    def check(self, facts: SysFacts) -> list[Violation]:
         out: list[Violation] = []
-        for info in self.scoped(program):
+        for info in facts.infos:
             for lc in info.locked_calls:
                 held = ", ".join(sorted(lc.held))
                 reason = _blocking_reason(lc.call, lc.held)
                 if reason is not None:
                     out.append(self.violation(
-                        info, lc.call,
+                        info.fn.path, lc.call,
                         f"blocking call under lock ({held}): {reason} "
                         f"-- move it outside the locked region",
                     ))
                     continue
-                target = program.resolve(lc.call, info)
+                target = facts.resolve(lc.call, info)
                 if target is None:
                     continue
-                bearing = program.bearing_reason(target)
+                bearing = facts.bearing_reason(target)
                 if bearing is not None:
                     out.append(self.violation(
-                        info, lc.call,
-                        f"{target.qualname}() blocks while {held} is "
+                        info.fn.path, lc.call,
+                        f"{target.fn.qualname}() blocks while {held} is "
                         f"held: {bearing} -- move the call outside the "
                         f"locked region",
                     ))
         return out
 
 
-@register_sys_rule
+@register_rule
 class SpawnSafety(SysRule):
     """RS004: what crosses the spawn boundary must survive pickling."""
 
@@ -254,68 +204,66 @@ class SpawnSafety(SysRule):
         "per child and silently diverges."
     )
 
-    def check(self, program: SysProgram) -> list[Violation]:
+    def check(self, facts: SysFacts) -> list[Violation]:
         out: list[Violation] = []
-        for info in self.scoped(program):
+        for info in facts.infos:
             for call in info.spawn_sites:
-                out.extend(self._check_spawn(program, info, call))
+                out.extend(self._check_spawn(facts, info, call))
         return out
 
-    def _check_spawn(self, program, info, call) -> list[Violation]:
+    def _check_spawn(self, facts, info, call) -> list[Violation]:
         out = []
-        target = _kw(call, "target")
+        target = kwarg(call, "target")
         if isinstance(target, ast.Lambda):
             out.append(self.violation(
-                info, call,
+                info.fn.path, call,
                 "lambda spawn target cannot cross the process boundary "
                 "(not picklable under the spawn start method)",
             ))
         elif isinstance(target, (ast.Name, ast.Attribute)):
-            dotted = _dotted(target)
-            bare = dotted.rsplit(".", 1)[-1]
-            cands = [c for c in program.functions.get(bare, [])
-                     if c.path == info.path]
-            tinfo = cands[0] if len(cands) == 1 else None
-            if dotted.startswith("self."):
+            text = dotted(target)
+            bare = text.rsplit(".", 1)[-1]
+            tinfo = facts.spawn_target(info, call)
+            if text.startswith("self."):
                 out.append(self.violation(
-                    info, call,
-                    f"bound-method spawn target {dotted} pickles the "
+                    info.fn.path, call,
+                    f"bound-method spawn target {text} pickles the "
                     f"whole owning object across the process boundary",
                 ))
-            elif tinfo is not None and not tinfo.module_level:
+            elif tinfo is not None and not tinfo.fn.module_level:
                 out.append(self.violation(
-                    info, call,
+                    info.fn.path, call,
                     f"nested function {bare}() is not picklable under "
                     f"the spawn start method -- hoist it to module level",
                 ))
             elif tinfo is not None:
-                mutables = program.module_mutables.get(tinfo.path, set())
+                mutables = facts.module_mutables[tinfo.fn.path]
                 read = sorted({
-                    n.id for n in ast.walk(tinfo.node)
+                    n.id for n in ast.walk(tinfo.fn.node)
                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
                     and n.id in mutables
                 })
                 if read:
                     out.append(self.violation(
-                        info, call,
+                        info.fn.path, call,
                         f"spawn target {bare}() reads module-level "
                         f"mutable state ({', '.join(read)}): each child "
                         f"gets a private copy that silently diverges "
                         f"from the parent",
                     ))
-        args = _kw(call, "args")
+        args = kwarg(call, "args")
         if isinstance(args, (ast.Tuple, ast.List)) and any(
             isinstance(e, ast.Lambda) for e in args.elts
         ):
             out.append(self.violation(
-                info, call,
+                info.fn.path, call,
                 "lambda in spawn args cannot cross the process boundary "
                 "(not picklable)",
             ))
         return out
 
 
-@register_sys_rule
+@register_rule
 class ThreadJoinOnShutdown(SysRule):
     """RS005: non-daemon threads need a join on the shutdown path."""
 
@@ -327,9 +275,9 @@ class ThreadJoinOnShutdown(SysRule):
         "freed resources after the owner exits."
     )
 
-    def check(self, program: SysProgram) -> list[Violation]:
+    def check(self, facts: SysFacts) -> list[Violation]:
         out: list[Violation] = []
-        for info in self.scoped(program):
+        for info in facts.infos:
             bound_ctors = {id(a.call) for a in info.acquisitions
                            if a.kind == "thread"}
             for acq in info.acquisitions:
@@ -339,31 +287,31 @@ class ThreadJoinOnShutdown(SysRule):
                     continue
                 if not any(r.method == "join" for r in acq.releases):
                     out.append(self.violation(
-                        info, acq.call,
+                        info.fn.path, acq.call,
                         f"non-daemon thread {acq.var!r} is never joined "
-                        f"in {info.qualname}(): it outlives every "
+                        f"in {info.fn.qualname}(): it outlives every "
                         f"shutdown path -- join it (or mark daemon=True "
                         f"and join before releasing shared state)",
                     ))
-            for node in program._own_nodes(info.node):
+            for node in own_nodes(info.fn.node):
                 if (isinstance(node, ast.Call)
-                        and _callee_bare(node) == "Thread"
+                        and call_name(node) == "Thread"
                         and id(node) not in bound_ctors):
-                    daemon = _kw(node, "daemon")
+                    daemon = kwarg(node, "daemon")
                     if (isinstance(daemon, ast.Constant)
                             and daemon.value is True):
                         continue
                     if not info.has_any_join:
                         out.append(self.violation(
-                            info, node,
+                            info.fn.path, node,
                             f"fire-and-forget non-daemon thread in "
-                            f"{info.qualname}() has no join on any "
+                            f"{info.fn.qualname}() has no join on any "
                             f"shutdown path",
                         ))
         return out
 
 
-@register_sys_rule
+@register_rule
 class AtomicDurableWrite(SysRule):
     """RS006: checkpoint/cache/manifest writers must be atomic."""
 
@@ -374,38 +322,38 @@ class AtomicDurableWrite(SysRule):
         "baselines) must be written tmp + fsync + os.replace so a "
         "crash mid-write can never leave a torn file behind."
     )
-    paths = DURABLE_WRITER_PATHS
+    default_paths = DURABLE_WRITER_PATHS
 
-    def check(self, program: SysProgram) -> list[Violation]:
+    def check(self, facts: SysFacts) -> list[Violation]:
         out: list[Violation] = []
-        for info in self.scoped(program):
+        for info in facts.infos:
             for call in info.write_opens:
                 if not info.calls_replace:
                     out.append(self.violation(
-                        info, call,
-                        f"non-atomic durable write in {info.qualname}(): "
+                        info.fn.path, call,
+                        f"non-atomic durable write in {info.fn.qualname}(): "
                         f"open(..., 'w') without os.replace -- write a "
                         f"tmp file, fsync, then os.replace over the "
                         f"final path",
                     ))
                 elif not info.calls_fsync:
                     out.append(self.violation(
-                        info, call,
-                        f"durable write in {info.qualname}() renames "
+                        info.fn.path, call,
+                        f"durable write in {info.fn.qualname}() renames "
                         f"without os.fsync: the data can vanish on "
                         f"power loss after the rename is visible",
                     ))
             for call in info.path_writes:
                 out.append(self.violation(
-                    info, call,
-                    f"Path.write_text/write_bytes in {info.qualname}() "
+                    info.fn.path, call,
+                    f"Path.write_text/write_bytes in {info.fn.qualname}() "
                     f"is non-atomic: a crash mid-write leaves a torn "
                     f"file -- write tmp + fsync + os.replace",
                 ))
         return out
 
 
-@register_sys_rule
+@register_rule
 class KillWindowHazard(SysRule):
     """RS007: SIGKILL-exposed code must not own persistent state."""
 
@@ -418,35 +366,27 @@ class KillWindowHazard(SysRule):
         "creates (named segments, non-atomic files) are orphaned."
     )
 
-    def check(self, program: SysProgram) -> list[Violation]:
-        exposed: dict[int, FuncInfo] = {}
-        for info in program.infos():
+    def check(self, facts: SysFacts) -> list[Violation]:
+        exposed: dict[FuncInfo, None] = {}
+        for info in facts.infos:
             for call in info.spawn_sites:
-                target = _kw(call, "target")
-                if not isinstance(target, (ast.Name, ast.Attribute)):
+                tinfo = facts.spawn_target(info, call)
+                if tinfo is None:
                     continue
-                bare = _dotted(target).rsplit(".", 1)[-1]
-                cands = [c for c in program.functions.get(bare, [])
-                         if c.path == info.path]
-                if len(cands) != 1:
-                    continue
-                tinfo = cands[0]
-                exposed[id(tinfo)] = tinfo
+                exposed[tinfo] = None
                 # one level of same-file callees
-                for node in program._own_nodes(tinfo.node):
+                for node in own_nodes(tinfo.fn.node):
                     if isinstance(node, ast.Call):
-                        callee = program.resolve(node, tinfo)
-                        if callee is not None and callee.path == tinfo.path:
-                            exposed[id(callee)] = callee
+                        callee = facts.resolve(node, tinfo)
+                        if callee is not None and callee.fn.path == tinfo.fn.path:
+                            exposed[callee] = None
         out: list[Violation] = []
-        for info in exposed.values():
-            if not self.in_scope(info.path):
-                continue
+        for info in exposed:
             for acq in info.acquisitions:
                 if acq.kind == "segment" and acq.create:
                     out.append(self.violation(
-                        info, acq.call,
-                        f"{info.qualname}() runs in a kill-supervised "
+                        info.fn.path, acq.call,
+                        f"{info.fn.qualname}() runs in a kill-supervised "
                         f"child but creates a named segment: a SIGKILL "
                         f"between the heartbeat publish and the kill "
                         f"watermark orphans it -- create in the parent, "
@@ -455,52 +395,11 @@ class KillWindowHazard(SysRule):
             if not info.calls_replace:
                 for call in info.write_opens:
                     out.append(self.violation(
-                        info, call,
-                        f"{info.qualname}() runs in a kill-supervised "
+                        info.fn.path, call,
+                        f"{info.fn.qualname}() runs in a kill-supervised "
                         f"child and writes a file non-atomically: a "
                         f"SIGKILL mid-write leaves a torn file -- use "
                         f"tmp + fsync + os.replace (the tmp is "
                         f"sweepable after the kill)",
                     ))
         return out
-
-
-# -- entry points -------------------------------------------------------
-
-
-def build_program(sources: dict[str, SourceFile]) -> SysProgram:
-    """Whole-program resource/blocking model over parsed sources."""
-    return SysProgram(sources)
-
-
-def check_program(program: SysProgram,
-                  rules: list | None = None) -> SysReport:
-    """Run the RS rules over a built program (pragmas applied)."""
-    rules = registered_sys_rules() if rules is None else rules
-    report = SysReport()
-    sites = [i for i in program.infos()
-             if any(r.in_scope(i.path) for r in rules)]
-    report.checks_run = len(sites) * len(rules)
-    for rule in rules:
-        for v in rule.check(program):
-            src = program.sources.get(v.path)
-            if src is not None and src.disabled(v.rule, v.line):
-                continue
-            report.violations.append(v)
-    report.violations.sort()
-    return report
-
-
-def check_sources(sources: dict[str, str]) -> SysReport:
-    """Analyze in-memory sources (``{path: text}``)."""
-    parsed = {p: SourceFile(p, t) for p, t in sources.items()}
-    return check_program(build_program(parsed))
-
-
-def check_paths(paths: list) -> SysReport:
-    """Analyze every python file under ``paths``."""
-    sources: dict[str, SourceFile] = {}
-    for path in iter_python_files(paths):
-        text = path.read_text(encoding="utf-8")
-        sources[str(path)] = SourceFile(str(path), text)
-    return check_program(build_program(sources))

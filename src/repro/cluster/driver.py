@@ -28,11 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..analysis.concurrency import (
-    ConcurrencyReport,
-    ConcurrencyViolationError,
-    make_tracker,
-)
+from ..analysis.concurrency import ConcurrencyViolationError, make_tracker
+from ..analysis.lint import Report
 from ..analysis.sanitizer import (
     NumericsViolationError,
     ViolationReport,
@@ -120,7 +117,7 @@ class RunResult:
     telemetry: MetricsSnapshot | None = None
     #: runtime concurrency findings -- races and watchdog-diagnosed
     #: deadlocks (None when concurrency_check="off")
-    concurrency_report: ConcurrencyReport | None = None
+    concurrency_report: Report | None = None
 
     @property
     def cells_per_second(self) -> float:

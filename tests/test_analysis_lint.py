@@ -5,15 +5,19 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import (
     LintConfig,
+    SourceFile,
+    analyze,
     format_violations,
     lint_paths,
     lint_source,
     registered_rules,
 )
 from repro.analysis.cli import main as lint_main
-from repro.analysis.lint import path_matches
+from repro.analysis.lint import iter_python_files, path_matches
 
 SRC = str(Path(__file__).resolve().parents[1] / "src" / "repro")
 
@@ -32,12 +36,12 @@ def rules_of(violations):
 def test_registry_has_the_eleven_rules():
     # CL008 is retired (its subject is gone); ids are never renumbered
     # because pragmas reference them.
-    ids = [cls.rule_id for cls in registered_rules()]
+    ids = [cls.rule_id for cls in registered_rules("lint")]
     assert ids == (
         [f"CL00{i}" for i in range(1, 8)] + ["CL009", "CL010", "CL011",
                                             "CL012"]
     )
-    for cls in registered_rules():
+    for cls in registered_rules("lint"):
         assert cls.name and cls.description
 
 
@@ -607,6 +611,22 @@ def test_pragma_disables_multiple_rules():
     assert out == []
 
 
+@pytest.mark.parametrize("reason", [
+    "-- storage dtype",
+    "storage dtype",
+    "storage dtype, see physics/state.py",
+])
+def test_pragma_reason_after_the_rule_ids(reason):
+    # Only the comma-separated ids are rule ids; the text after them,
+    # with or without a leading "--", is the reason.
+    out = lint(f"""
+        import numpy as np
+        a = np.float32  # lint: disable=CL001 {reason}
+        b = np.float64  # lint: disable=CL001, CL004 {reason}
+        """)
+    assert out == []
+
+
 def test_trailing_pragma_covers_multiline_statement():
     # The violation anchors on the np.float32 line, while the pragma
     # sits on the closing line of the same (parenthesised) statement.
@@ -744,6 +764,36 @@ def test_cli_exit_code_2_on_unknown_rule_id(capsys):
     err = capsys.readouterr().err
     assert "unknown rule id" in err and "CL999" in err
     assert lint_main(["--ignore", "CX123", SRC]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag", ["", "--concurrency", "--perf", "--sys", "--all"]
+)
+def test_cli_reports_unparsable_file_as_cl000_in_every_family(
+    tmp_path, capsys, flag
+):
+    (tmp_path / "cluster").mkdir()
+    (tmp_path / "cluster" / "broken.py").write_text("def f(:\n    pass\n")
+    argv = [flag, str(tmp_path)] if flag else [str(tmp_path)]
+    assert lint_main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.count("CL000") == 1  # reported once, not once per family
+    assert "broken.py:1:" in out
+
+
+def test_all_families_parse_each_file_once(monkeypatch):
+    parsed: list[str] = []
+    init = SourceFile.__init__
+
+    def counting_init(self, path, text):
+        parsed.append(str(path))
+        init(self, path, text)
+
+    monkeypatch.setattr(SourceFile, "__init__", counting_init)
+    reports = analyze([SRC])  # what --all runs
+    assert set(reports) == {"lint", "comm", "perf", "sys"}
+    files = sorted(str(f) for f in iter_python_files([SRC]))
+    assert sorted(parsed) == files
 
 
 def test_cli_exit_code_2_on_missing_path(capsys):

@@ -5,18 +5,25 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-from repro.analysis.concurrency import (
-    build_program,
-    check_paths,
-    check_sources,
-)
-from repro.analysis.concurrency.commcheck import ANY
+from repro.analysis import Program, analyze, check_program
+from repro.analysis.concurrency import ANY, CommFacts
 
 SRC = str(Path(__file__).resolve().parents[1] / "src" / "repro")
 
 
+def build_program(sources):
+    """The communication skeleton of in-memory sources."""
+    return CommFacts(Program(sources))
+
+
+def comm_report_of(paths):
+    """comm-check every python file under ``paths``; returns the report."""
+    return analyze(paths, ["comm"])["comm"]
+
+
 def check(text: str, path: str = "src/repro/cluster/fixture.py"):
-    return check_sources({path: textwrap.dedent(text)})
+    return check_program(Program({path: textwrap.dedent(text)}),
+                         ["comm"])["comm"]
 
 
 def rules_of(report):
@@ -281,7 +288,7 @@ def test_send_wrapper_resolved_through_call_sites():
 
 
 def test_comm_check_clean_on_repo_tree():
-    report = check_paths([SRC])
+    report = comm_report_of([SRC])
     assert report.violations == [], "\n" + "\n".join(
         v.format() for v in report.violations
     )

@@ -6,17 +6,9 @@ import json
 import textwrap
 from pathlib import Path
 
+from repro.analysis import Program, analyze, check_program, registered_rules
 from repro.analysis.cli import main as cli_main
-from repro.analysis.perfcheck import (
-    HOT_KERNELS,
-    KernelSpec,
-    build_kernel_manifest,
-    build_program,
-    check_program,
-    check_sources,
-    registered_perf_rules,
-    write_kernel_manifest,
-)
+from repro.analysis.perfcheck import KernelSpec
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = str(REPO / "src" / "repro")
@@ -24,16 +16,19 @@ SRC = str(REPO / "src" / "repro")
 FIXTURE_PATH = "src/repro/physics/fixture.py"
 
 
-def spec(name, module="physics/fixture.py", backends=("numpy", "numba"),
-         model_key=None):
+def spec(name, module="physics/fixture.py", model_key=None):
     """A one-kernel spec tuple for fixture programs."""
-    return (KernelSpec(name, module, tuple(backends), "test contract",
-                       model_key),)
+    return (KernelSpec(name, module, "test contract", model_key),)
+
+
+def perf_sources(sources, specs):
+    """perfcheck in-memory sources against ``specs``; returns the report."""
+    return check_program(Program(sources), ["perf"], kernels=specs)["perf"]
 
 
 def perf(text, name, **kw):
     """perfcheck a fixture source declaring ``name`` as the only kernel."""
-    return check_sources({FIXTURE_PATH: textwrap.dedent(text)},
+    return perf_sources({FIXTURE_PATH: textwrap.dedent(text)},
                          specs=spec(name, **kw))
 
 
@@ -44,18 +39,21 @@ def rules_of(report):
 # -- registry ------------------------------------------------------------
 
 
-def test_registry_has_the_six_cp_rules():
-    ids = [cls.rule_id for cls in registered_perf_rules()]
-    assert ids == [f"CP00{i}" for i in range(1, 7)]
-    for cls in registered_perf_rules():
+def test_registry_has_the_five_cp_rules():
+    # CP004 (Numba nopython certification) is retired; ids are never
+    # renumbered because pragmas reference them.
+    ids = [cls.rule_id for cls in registered_rules("perf")]
+    assert ids == ["CP001", "CP002", "CP003", "CP005", "CP006"]
+    for cls in registered_rules("perf"):
         assert cls.name and cls.description
 
 
 def test_list_rules_includes_perf_catalogue(capsys):
     assert cli_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for i in range(1, 7):
+    for i in (1, 2, 3, 5, 6):
         assert f"CP00{i}" in out
+    assert "CP004" not in out
 
 
 # -- CP001 silent promotion ----------------------------------------------
@@ -179,56 +177,6 @@ def test_cp003_clean_with_out_discipline():
     assert "CP003" not in rules_of(report)
 
 
-# -- CP004 compiled subset -----------------------------------------------
-
-
-def test_cp004_flags_try_except_in_numba_kernel():
-    report = perf(
-        """
-        def ktry(v):
-            try:
-                return v
-            except ValueError:
-                return v
-        """,
-        "ktry",
-    )
-    assert "CP004" in rules_of(report)
-
-
-def test_cp004_flags_dict_dispatch_and_nested_def():
-    report = perf(
-        """
-        TABLE = {"a": 1, "b": 2}
-
-        def kdisp(x, key):
-            def inner(y):
-                return y
-            fn = TABLE[key]
-            return inner(x) + fn
-        """,
-        "kdisp",
-    )
-    messages = [v.message for v in report.violations if v.rule == "CP004"]
-    assert any("dict-of-functions" in m for m in messages)
-    assert any("nested function" in m for m in messages)
-
-
-def test_cp004_exempts_numpy_only_kernels():
-    report = perf(
-        """
-        def ktry(v):
-            try:
-                return v
-            except ValueError:
-                return v
-        """,
-        "ktry",
-        backends=("numpy",),
-    )
-    assert rules_of(report) == []
-
-
 # -- CP005 fancy indexing ------------------------------------------------
 
 
@@ -348,86 +296,8 @@ def test_pragma_spans_multiline_statements():
 
 def test_standalone_pragma_disables_rule_file_wide():
     text = "# lint: disable=CP003\n" + textwrap.dedent(_CP003_HOT)
-    report = check_sources({FIXTURE_PATH: text}, specs=spec("ktemp"))
+    report = perf_sources({FIXTURE_PATH: text}, specs=spec("ktemp"))
     assert "CP003" not in rules_of(report)
-
-
-# -- manifest ------------------------------------------------------------
-
-_MANIFEST_SRC = """
-    import numpy as np
-
-    def helper(a, b):
-        return np.sqrt(a * a + b * b)
-
-    def kfix(x, y, out=None):
-        return helper(x, y)
-"""
-
-
-def _manifest_fixture():
-    program = build_program(
-        {FIXTURE_PATH: textwrap.dedent(_MANIFEST_SRC)}, spec("kfix")
-    )
-    return program, check_program(program)
-
-
-def test_manifest_golden():
-    program, report = _manifest_fixture()
-    payload = build_kernel_manifest(program, report)
-    assert payload == {
-        "schema": "repro.kernel_manifest/v1",
-        "checks_run": 13,  # 2 closure functions x 6 rules + 1 kernel
-        "findings_total": 0,
-        "kernels": [
-            {
-                "name": "kfix",
-                "module": "physics/fixture.py",
-                "signature": "kfix(x, y, out=None)",
-                "dtype_contract": "test contract",
-                "declared_backends": ["numpy", "numba"],
-                "certified_backends": ["numpy", "numba"],
-                "closure": ["helper", "kfix"],
-                "arithmetic": {
-                    "counted_flops_per_point": 4.0,
-                    "counted_bytes_per_point": 24.0,
-                    "counted_intensity": 0.1667,
-                    "modeled_intensity": None,
-                    "model_key": None,
-                },
-                "findings": 0,
-            }
-        ],
-    }
-
-
-def test_manifest_derates_compiled_backend_on_findings():
-    program = build_program(
-        {
-            FIXTURE_PATH: textwrap.dedent(
-                """
-                def ktry(v):
-                    try:
-                        return v
-                    except ValueError:
-                        return v
-                """
-            )
-        },
-        spec("ktry"),
-    )
-    report = check_program(program)
-    (kernel,) = build_kernel_manifest(program, report)["kernels"]
-    assert kernel["declared_backends"] == ["numpy", "numba"]
-    assert kernel["certified_backends"] == ["numpy"]
-    assert kernel["findings"] >= 1
-
-
-def test_write_kernel_manifest_roundtrip(tmp_path):
-    program, report = _manifest_fixture()
-    out = tmp_path / "kernel_manifest.json"
-    payload = write_kernel_manifest(program, report, out)
-    assert json.loads(out.read_text()) == payload
 
 
 # -- CLI exit codes ------------------------------------------------------
@@ -435,57 +305,34 @@ def test_write_kernel_manifest_roundtrip(tmp_path):
 
 def test_cli_perf_clean_exit_zero(tmp_path, capsys):
     (tmp_path / "other.py").write_text('"""Not a hot module."""\n')
-    manifest = tmp_path / "m.json"
-    code = cli_main(
-        ["--perf", str(tmp_path), "--manifest-out", str(manifest)]
-    )
+    code = cli_main(["--perf", str(tmp_path)])
     assert code == 0
     assert "kernel-check" in capsys.readouterr().err
-    assert json.loads(manifest.read_text())["kernels"] == []
+
+
+_GATHER_WENO = (
+    '"""Fixture weno module."""\n\n'
+    "def weno5(v):\n"
+    "    return v[v > 0.0]\n"
+)
 
 
 def test_cli_perf_findings_exit_one(tmp_path, capsys):
     phys = tmp_path / "physics"
     phys.mkdir()
-    (phys / "weno.py").write_text(
-        '"""Fixture weno module."""\n\n'
-        "def weno5(v):\n"
-        "    try:\n"
-        "        return v\n"
-        "    except ValueError:\n"
-        "        return v\n"
-    )
-    manifest = tmp_path / "m.json"
+    (phys / "weno.py").write_text(_GATHER_WENO)
     report = tmp_path / "r.json"
-    code = cli_main([
-        "--perf", str(tmp_path),
-        "--manifest-out", str(manifest),
-        "--report-out", str(report),
-    ])
+    code = cli_main(["--perf", str(tmp_path), "--report-out", str(report)])
     assert code == 1
-    assert "CP004" in capsys.readouterr().out
-    payload = json.loads(report.read_text())
-    assert payload["by_rule"].get("CP004")
-    (kernel,) = json.loads(manifest.read_text())["kernels"]
-    assert kernel["certified_backends"] == ["numpy"]
+    assert "CP005" in capsys.readouterr().out
+    assert json.loads(report.read_text())["by_rule"] == {"CP005": 1}
 
 
 def test_cli_perf_select_filters_rules(tmp_path, capsys):
     phys = tmp_path / "physics"
     phys.mkdir()
-    (phys / "weno.py").write_text(
-        '"""Fixture weno module."""\n\n'
-        "def weno5(v):\n"
-        "    try:\n"
-        "        return v\n"
-        "    except ValueError:\n"
-        "        return v\n"
-    )
-    manifest = tmp_path / "m.json"
-    code = cli_main([
-        "--perf", str(tmp_path), "--select", "CP003",
-        "--manifest-out", str(manifest),
-    ])
+    (phys / "weno.py").write_text(_GATHER_WENO)
+    code = cli_main(["--perf", str(tmp_path), "--select", "CP003"])
     capsys.readouterr()
     assert code == 0
 
@@ -505,28 +352,6 @@ def test_cli_missing_path_exit_two(tmp_path, capsys):
 
 
 def test_perfcheck_src_repro_is_clean():
-    from repro.analysis import perf_check_paths
-
-    report = perf_check_paths([SRC])
+    report = analyze([SRC], ["perf"])["perf"]
     assert report.violations == []
     assert report.checks_run > 0
-
-
-def test_committed_manifest_matches_regenerated():
-    from repro.analysis.perfcheck import analyze_paths
-
-    committed = json.loads((REPO / "kernel_manifest.json").read_text())
-    program, report = analyze_paths([SRC])
-    assert build_kernel_manifest(program, report) == committed
-
-
-def test_manifest_certifies_enough_kernels_for_numba():
-    from repro.analysis.perfcheck import analyze_paths
-
-    program, report = analyze_paths([SRC])
-    payload = build_kernel_manifest(program, report)
-    assert len(payload["kernels"]) == len(HOT_KERNELS)
-    certified = [
-        k for k in payload["kernels"] if "numba" in k["certified_backends"]
-    ]
-    assert len(certified) >= 8

@@ -1,7 +1,7 @@
 """sys-check: RS-rule fixtures, pragma spans, CLI contract, ledger.
 
 Each RS rule gets a positive (fires) and a negative (clean) AST
-fixture fed through ``check_sources`` under a synthetic path inside
+fixture fed through ``check_program`` under a synthetic path inside
 the analyzer's scope.  The dynamic half exercises the
 :class:`ResourceLedger` in both explicit and snapshot modes, and the
 acceptance bar -- the real tree is RS-clean -- is asserted directly.
@@ -16,15 +16,14 @@ import time
 
 import pytest
 
-from repro.analysis.cli import main as cli_main
-from repro.analysis.syscheck import (
-    LeakError,
-    ResourceLedger,
-    SYS_REGISTRY,
-    check_paths,
-    check_sources,
-    registered_sys_rules,
+from repro.analysis import (
+    Program,
+    analyze,
+    check_program,
+    registered_rules,
 )
+from repro.analysis.cli import main as cli_main
+from repro.analysis.syscheck import LeakError, ResourceLedger
 
 #: Synthetic in-scope paths (path_matches semantics: directory pattern
 #: ``cluster/`` matches anywhere in the path).
@@ -35,11 +34,11 @@ CACHE = "src/repro/service/cache.py"
 
 
 def run(code, path=CLUSTER, extra=None):
-    """Analyze one dedented fixture module; returns the SysReport."""
+    """Analyze one dedented fixture module; returns the sys Report."""
     sources = {path: textwrap.dedent(code)}
     if extra:
         sources.update({p: textwrap.dedent(c) for p, c in extra.items()})
-    return check_sources(sources)
+    return check_program(Program(sources), ["sys"])["sys"]
 
 
 def rules_fired(report):
@@ -52,13 +51,13 @@ def rules_fired(report):
 
 class TestRegistry:
     def test_catalogue_is_exactly_rs001_to_rs007(self):
-        assert set(SYS_REGISTRY) == {
+        assert {r.rule_id for r in registered_rules("sys")} == {
             f"RS{i:03d}" for i in range(1, 8)
         }
 
     def test_registered_rules_sorted_and_described(self):
-        rules = registered_sys_rules()
-        assert [r.rule_id for r in rules] == sorted(SYS_REGISTRY)
+        rules = registered_rules("sys")
+        assert [r.rule_id for r in rules] == sorted(r.rule_id for r in rules)
         for r in rules:
             assert r.name and r.description
 
@@ -580,7 +579,7 @@ class TestPragmasAndReport:
 
     def test_real_tree_is_clean(self):
         # The acceptance bar: --sys exits 0 on src/repro.
-        report = check_paths(["src/repro"])
+        report = analyze(["src/repro"], ["sys"])["sys"]
         assert not report.violations, report.summary()
         assert report.checks_run > 1000
 
@@ -635,11 +634,9 @@ class TestCLI:
     def test_all_merged_report_and_worst_of_exit(self, tmp_path, capsys):
         tree = self._tree(tmp_path, BAD_FIXTURE)
         report_out = tmp_path / "report.json"
-        manifest_out = tmp_path / "kernel_manifest.json"
         code = cli_main([
             "--all", str(tree),
             "--report-out", str(report_out),
-            "--manifest-out", str(manifest_out),
         ])
         assert code == 1
         payload = json.loads(report_out.read_text())
@@ -648,7 +645,6 @@ class TestCLI:
         assert payload["totals"]["by_family"]["sys"] >= 2
         assert payload["totals"]["findings"] == len(payload["findings"])
         assert all(f["family"] for f in payload["findings"])
-        assert manifest_out.exists()  # --all still certifies kernels
 
     def test_all_exit_0_on_clean_tree(self, tmp_path):
         tree = self._tree(
@@ -656,10 +652,7 @@ class TestCLI:
             "def ok(n):\n"
             "    return n + 1\n",
         )
-        assert cli_main([
-            "--all", str(tree),
-            "--manifest-out", str(tmp_path / "km.json"),
-        ]) == 0
+        assert cli_main(["--all", str(tree)]) == 0
 
     def test_list_rules_includes_rs_catalogue(self, capsys):
         assert cli_main(["--list-rules"]) == 0
