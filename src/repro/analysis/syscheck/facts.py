@@ -184,7 +184,8 @@ class FuncInfo:
     write_opens: list[ast.Call] = field(default_factory=list)
     path_writes: list[ast.Call] = field(default_factory=list)
     calls_fsync: bool = False
-    calls_replace: bool = False
+    calls_replace: bool = False  #: raw os.replace / os.rename
+    calls_atomic_replace: bool = False  #: the durable-write helper's rename
     has_any_join: bool = False
     #: kinds of resources this function creates and hands to its caller
     returned_kinds: frozenset = frozenset()
@@ -276,6 +277,8 @@ class SysFacts:
                 info.calls_fsync = True
             if name in ("os.replace", "os.rename"):
                 info.calls_replace = True
+            if bare == "atomic_replace":
+                info.calls_atomic_replace = True
             if bare == "join":
                 info.has_any_join = True
             if bare == "Process":

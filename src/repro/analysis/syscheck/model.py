@@ -79,8 +79,9 @@ SYS_SCOPE = (
     "telemetry/flight.py",
 )
 
-#: Modules that persist campaign state and must write atomically
-#: (tmp + fsync + ``os.replace``); the RS006 scope.
+#: Modules that persist campaign state and must write it only through
+#: ``repro.resilience.durable`` (``atomic_write`` / ``atomic_replace``);
+#: the RS006 scope.
 DURABLE_WRITER_PATHS = (
     "cluster/checkpoint.py",
     "service/cache.py",

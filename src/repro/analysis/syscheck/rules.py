@@ -313,42 +313,45 @@ class ThreadJoinOnShutdown(SysRule):
 
 @register_rule
 class AtomicDurableWrite(SysRule):
-    """RS006: checkpoint/cache/manifest writers must be atomic."""
+    """RS006: durable writers write only through the atomic-write helper."""
 
     rule_id = "RS006"
     name = "atomic-durable-write"
     description = (
-        "Durable state (checkpoints, result cache, kernel manifest, "
-        "baselines) must be written tmp + fsync + os.replace so a "
-        "crash mid-write can never leave a torn file behind."
+        "Durable state (checkpoints, result cache, baselines) is written "
+        "only through repro.resilience.durable: atomic_write, or a "
+        "collective writer that fsyncs its tmp and promotes it with "
+        "atomic_replace -- so a crash can never leave a torn file and "
+        "the rename itself survives power loss."
     )
     default_paths = DURABLE_WRITER_PATHS
 
     def check(self, facts: SysFacts) -> list[Violation]:
         out: list[Violation] = []
         for info in facts.infos:
+            where = f"{info.fn.qualname}()"
             for call in info.write_opens:
-                if not info.calls_replace:
-                    out.append(self.violation(
-                        info.fn.path, call,
-                        f"non-atomic durable write in {info.fn.qualname}(): "
-                        f"open(..., 'w') without os.replace -- write a "
-                        f"tmp file, fsync, then os.replace over the "
-                        f"final path",
-                    ))
-                elif not info.calls_fsync:
-                    out.append(self.violation(
-                        info.fn.path, call,
-                        f"durable write in {info.fn.qualname}() renames "
-                        f"without os.fsync: the data can vanish on "
-                        f"power loss after the rename is visible",
-                    ))
+                if info.calls_atomic_replace and info.calls_fsync:
+                    continue
+                if info.calls_atomic_replace:
+                    msg = (f"durable write in {where} promotes without "
+                           f"os.fsync: the data can vanish on power loss "
+                           f"after the rename is visible")
+                elif info.calls_replace:
+                    msg = (f"durable write in {where} hand-rolls "
+                           f"os.replace: the rename is never fsynced to "
+                           f"its directory -- write through atomic_write")
+                else:
+                    msg = (f"non-atomic durable write in {where}: "
+                           f"open(..., 'w') -- write through atomic_write "
+                           f"(tmp, fsync, rename, directory fsync)")
+                out.append(self.violation(info.fn.path, call, msg))
             for call in info.path_writes:
                 out.append(self.violation(
                     info.fn.path, call,
-                    f"Path.write_text/write_bytes in {info.fn.qualname}() "
-                    f"is non-atomic: a crash mid-write leaves a torn "
-                    f"file -- write tmp + fsync + os.replace",
+                    f"Path.write_text/write_bytes in {where} is "
+                    f"non-atomic: a crash mid-write leaves a torn file "
+                    f"-- write through atomic_write",
                 ))
         return out
 
@@ -392,14 +395,14 @@ class KillWindowHazard(SysRule):
                         f"watermark orphans it -- create in the parent, "
                         f"attach in the child",
                     ))
-            if not info.calls_replace:
+            if not (info.calls_replace or info.calls_atomic_replace):
                 for call in info.write_opens:
                     out.append(self.violation(
                         info.fn.path, call,
                         f"{info.fn.qualname}() runs in a kill-supervised "
                         f"child and writes a file non-atomically: a "
                         f"SIGKILL mid-write leaves a torn file -- use "
-                        f"tmp + fsync + os.replace (the tmp is "
-                        f"sweepable after the kill)",
+                        f"atomic_write (the tmp is sweepable after the "
+                        f"kill)",
                     ))
         return out

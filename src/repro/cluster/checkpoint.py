@@ -15,8 +15,9 @@ state serialization that makes that possible:
 Durability (the resilience layer's contract):
 
 * writes are **atomic**: the file is assembled at ``path + ".tmp"`` and
-  promoted with ``os.replace`` only after every rank's block landed -- a
-  crash mid-write can never destroy the previous generation;
+  promoted (:func:`~repro.resilience.durable.atomic_replace`) only after
+  every rank's block landed -- a crash can never destroy the previous
+  generation;
 * every rank-block carries a **CRC32** in the header, verified by the
   reader, so a storage bit flip is diagnosed as a localized
   :class:`~repro.resilience.detect.CheckpointCorruptError` instead of
@@ -44,6 +45,7 @@ from ..resilience.detect import (
     CheckpointWriteError,
     crc32_bytes,
 )
+from ..resilience.durable import atomic_replace
 from ..telemetry.clock import wall_now
 
 #: Fixed-size JSON header (same convention as the dump files).
@@ -100,7 +102,7 @@ def write_checkpoint(comm, path: str, field: np.ndarray,
     """Collectively write one checkpoint; returns this rank's byte count.
 
     ``field`` is the rank's AoS subdomain ``(nz, ny, nx, NQ)`` in storage
-    precision.  The write is atomic (tmp + ``os.replace``) and each
+    precision.  The write is atomic (tmp + ``atomic_replace``) and each
     rank-block's CRC32 is recorded in the header.
 
     ``injector`` is an optional
@@ -160,8 +162,8 @@ def write_checkpoint(comm, path: str, field: np.ndarray,
             f.seek(offset)
             f.write(payload)
             f.flush()
-            # Durability before the rank-0 os.replace below: a rename
-            # is only atomic w.r.t. data that has reached the disk.
+            # Durability before the rank-0 rename below: a rename is
+            # only atomic w.r.t. data that has reached the disk.
             os.fsync(f.fileno())
     except (OSError, ValueError) as exc:
         ok = 0
@@ -184,7 +186,7 @@ def write_checkpoint(comm, path: str, field: np.ndarray,
         )
     comm.barrier()
     if comm.rank == 0:
-        os.replace(tmp, path)
+        atomic_replace(tmp, path)
         if injector is not None:
             total = HEADER_SIZE + sum(e["size"] for e in entries)
             injector.count("ckpt_bytes_written", total)

@@ -219,13 +219,12 @@ def rank_main(comm: SimComm, config: SimulationConfig, ic_fn,
         solver=config.riemann_solver,
         tracer=tracer,
     )
-    from ..resilience.recover import RetryPolicy
+    from ..resilience.recover import BackoffPolicy
 
     halo = HaloExchange(
         comm, topo, grid, tracer=tracer, injector=injector,
-        retry=RetryPolicy(max_attempts=config.comm_retry_attempts,
-                          base_delay=config.comm_retry_base,
-                          seed=2013 + comm.rank),
+        retry=BackoffPolicy(max_attempts=config.comm_retry_attempts,
+                            base_delay=config.comm_retry_base),
     )
     interior, halo_blocks = halo.halo_split()
     stepper = make_stepper(config.stepper)

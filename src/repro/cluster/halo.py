@@ -100,21 +100,20 @@ class HaloExchange:
     ``injector`` is an optional
     :class:`~repro.resilience.inject.FaultInjector` used as the
     resilience monitor (CRC detections, comm retries); ``retry`` is the
-    :class:`~repro.resilience.recover.RetryPolicy` bounding the
+    :class:`~repro.resilience.recover.BackoffPolicy` bounding the
     transient-send backoff (a default policy when omitted).
     """
 
     def __init__(self, comm: SimComm, topo: CartTopology, grid: BlockGrid,
                  tracer=None, injector=None, retry=None):
-        from ..resilience.recover import RetryPolicy
+        from ..resilience.recover import BackoffPolicy
 
         self.comm = comm
         self.topo = topo
         self.grid = grid
         self.tracer = tracer
         self.injector = injector
-        # Desynchronize backoff jitter across ranks via the seed.
-        self.retry = retry or RetryPolicy(seed=2013 + comm.rank)
+        self.retry = retry or BackoffPolicy()
         self._neighbors = topo.neighbors(comm.rank)
 
     def halo_split(self) -> tuple[list, list]:
@@ -140,7 +139,6 @@ class HaloExchange:
     def _send_frame(self, frame: HaloFrame, nbr: int, tag: int) -> None:
         """Post one checksummed face send, retrying transient failures."""
         from ..resilience.inject import TransientCommError
-        from ..resilience.recover import retry_transient
 
         def on_retry(attempt: int, exc: TransientCommError) -> None:
             if self.injector is not None:
@@ -148,8 +146,9 @@ class HaloExchange:
                 self.injector.detected("comm_transient")
                 self.injector.recovered("comm_transient")
 
-        retry_transient(lambda: self.comm.isend(frame, nbr, tag=tag),
-                        self.retry, on_retry=on_retry)
+        # Desynchronize backoff jitter across ranks via the seed.
+        self.retry.call(lambda: self.comm.isend(frame, nbr, tag=tag),
+                        seed=2013 + self.comm.rank, on_retry=on_retry)
 
     def start(self) -> dict[tuple[int, int], Request]:
         """Pack and post the sends/receives; returns pending receives."""

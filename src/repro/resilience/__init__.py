@@ -9,10 +9,13 @@ The durability layer of the reproduction (see ``docs/resilience.md``):
   sites and doubles as the thread-safe resilience monitor;
 * :mod:`repro.resilience.detect` -- CRC32 halo framing, checkpoint
   validation errors and the SDC screen on restored state;
-* :class:`ResilientSimulation` -- the supervised driver loop: retry
-  with bounded jittered backoff, degrade failed writes to counted
-  skips, roll back to the newest verified checkpoint generation and
-  relaunch (optionally on a shrunk rank count);
+* :class:`BackoffPolicy` -- the one seeded retry policy of every
+  recovery loop, over the failure table of :mod:`repro.exitcodes`;
+* :class:`ResilientSimulation` -- the supervised driver loop: degrade
+  failed writes to counted skips, roll back to the newest verified
+  checkpoint generation and relaunch (optionally on a shrunk rank
+  count);
+* :func:`atomic_write` -- the one durable-write helper;
 * :func:`format_resilience_scorecard` -- the chaos-run scorecard
   (faults injected/detected/recovered, recovery overhead, checkpoint
   write amplification).
@@ -28,6 +31,7 @@ from .detect import (
     crc32_bytes,
     screen_restored_state,
 )
+from .durable import atomic_replace, atomic_write
 from .inject import (
     DROPPED,
     FaultInjector,
@@ -38,14 +42,13 @@ from .inject import (
 )
 from .plan import KINDS, FaultPlan, FaultSpec
 from .recover import (
+    BackoffPolicy,
     RecoveryEvent,
     ResilienceExhaustedError,
     ResilientRunResult,
     ResilientSimulation,
-    RetryPolicy,
     find_latest_verified_checkpoint,
     prune_stale_tmp,
-    retry_transient,
     verify_checkpoint,
 )
 from .report import (
@@ -61,6 +64,7 @@ __all__ = [
     "DROPPED",
     "KINDS",
     "MAX_RECOVERY_OVERHEAD",
+    "BackoffPolicy",
     "CheckpointCorruptError",
     "CheckpointWriteError",
     "CorruptionError",
@@ -76,9 +80,10 @@ __all__ = [
     "ResilienceExhaustedError",
     "ResilientRunResult",
     "ResilientSimulation",
-    "RetryPolicy",
     "TransientCommError",
     "all_faults_recovered",
+    "atomic_replace",
+    "atomic_write",
     "checkpoint_write_amplification",
     "crc32_array",
     "crc32_bytes",
@@ -87,7 +92,6 @@ __all__ = [
     "format_resilience_scorecard",
     "prune_stale_tmp",
     "resilience_scorecard_rows",
-    "retry_transient",
     "screen_restored_state",
     "verify_checkpoint",
 ]

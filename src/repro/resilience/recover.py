@@ -2,10 +2,10 @@
 
 Three recovery tiers, matched to the fault taxonomy:
 
-1. **Retry with backoff** (:func:`retry_transient`): transient
-   point-to-point failures are retried in place with bounded, jittered
-   exponential backoff -- the cheapest tier, invisible above the halo
-   exchange.
+1. **Retry with backoff** (:meth:`BackoffPolicy.call`): transient
+   point-to-point failures are retried in place with bounded,
+   decorrelated-jitter backoff -- the cheapest tier, invisible above
+   the halo exchange.
 2. **Degrade** (driver-level): a failed collective dump or checkpoint
    write becomes a counted skip; the campaign keeps computing.
 3. **Rollback and relaunch** (:class:`ResilientSimulation`): anything
@@ -17,6 +17,9 @@ Three recovery tiers, matched to the fault taxonomy:
    clean -- a generation failing any check falls back to the previous
    one.
 
+The halo exchange, :class:`ResilientSimulation`, the job service and
+campaigns all take their attempt decisions from :class:`BackoffPolicy`.
+
 Because the solver is deterministic, a rollback recovery is *bit-exact*:
 the recovered campaign ends in the identical field an unfaulted run
 produces (asserted by the chaos tests).
@@ -24,13 +27,17 @@ produces (asserted by the chaos tests).
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
+import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
+from ..exitcodes import Failure, classify
 from ..telemetry.clock import wall_now
 from .detect import CheckpointCorruptError
-from .inject import FaultInjector, InjectedRankCrash, TransientCommError
+from .inject import FaultInjector, TransientCommError
 from .plan import FaultPlan
 
 # NOTE: repro.cluster imports happen inside functions: the cluster layer
@@ -39,51 +46,80 @@ from .plan import FaultPlan
 
 
 @dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded, jittered exponential backoff for transient comm faults.
+class BackoffPolicy:
+    """The one seeded retry policy of every recovery loop.
 
-    ``max_attempts`` bounds total tries (the final failure re-raises);
-    sleep before retry ``k`` is ``base_delay * factor**k``, capped at
-    ``max_delay``, times a seeded jitter in ``[1, 1 + jitter]`` --
-    deterministic per policy instance, desynchronized across sites via
-    ``seed``.
+    ``max_attempts`` bounds *total* attempts (first try included).
+    Retry delays follow decorrelated jitter, ``U(base_delay,
+    min(max_delay, 3 * previous))``, seeded per caller (a rank, a job)
+    so chaos replays are exact.  Callers ask it whether to retry
+    (:meth:`decide`), how long to wait (:meth:`delays`), which injector
+    the next attempt runs with (:meth:`attempt_injector`) and where it
+    resumes (:meth:`resume`).
     """
 
     max_attempts: int = 3
-    base_delay: float = 0.01
-    factor: float = 2.0
-    max_delay: float = 0.5
-    jitter: float = 0.5
-    seed: int = 2013
+    base_delay: float = 0.05
+    max_delay: float = 2.0
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if not 0.0 <= self.base_delay <= self.max_delay:
+            raise ValueError("need 0 <= base_delay <= max_delay")
 
+    def delays(self, seed) -> Iterator[float]:
+        """The delay stream (seconds) of one seeded caller."""
+        rng = random.Random(f"backoff:{seed}")
+        prev = self.base_delay
+        while True:
+            prev = rng.uniform(self.base_delay,
+                               min(self.max_delay, 3.0 * prev))
+            yield prev
 
-def retry_transient(fn, policy: RetryPolicy, on_retry=None):
-    """Call ``fn`` under ``policy``; returns its result.
+    def decide(self, failure: Failure, attempts: int) -> str:
+        """``"retry"``, ``"fail"`` or ``"exhausted"`` after ``attempts``."""
+        if not failure.retryable:
+            return "fail"
+        return "retry" if attempts < self.max_attempts else "exhausted"
 
-    Retries only :class:`TransientCommError` (anything else propagates
-    immediately); re-raises the last transient error once the attempt
-    bound is exhausted.  ``on_retry(attempt, exc)`` is called before
-    each backoff sleep.
-    """
-    import time
+    def call(self, fn, seed, on_retry=None):
+        """``fn()``, retrying :class:`TransientCommError` in place.
 
-    rng = random.Random(policy.seed)
-    delay = policy.base_delay
-    for attempt in range(policy.max_attempts):
+        ``on_retry(attempt, exc)`` runs before each backoff sleep.
+        """
+        delays = self.delays(seed)
+        for attempt in range(1, self.max_attempts + 1):
+            try:
+                return fn()
+            except TransientCommError as exc:
+                if attempt == self.max_attempts:
+                    raise
+                if on_retry is not None:
+                    on_retry(attempt, exc)
+                time.sleep(next(delays))
+
+    @staticmethod
+    def attempt_injector(ledger: FaultInjector, attempt: int,
+                         disable_kinds: tuple[str, ...] = ()
+                         ) -> FaultInjector:
+        """One attempt's injector, cloned from ``ledger`` (spent hits stay
+        spent); a retry re-seeds the probabilistic streams so a fault
+        consumed by luck does not refire by the same luck.
+        """
+        clone = ledger.child_clone(disable_kinds=disable_kinds)
+        if attempt > 1:
+            clone.reseed(attempt)
+        return clone
+
+    @staticmethod
+    def resume(ckpt_dir: str, injector: FaultInjector | None = None
+               ) -> tuple[int, str] | None:
+        """Newest verified checkpoint ``(step, path)`` to retry from."""
         try:
-            return fn()
-        except TransientCommError as exc:
-            if attempt == policy.max_attempts - 1:
-                raise
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            time.sleep(min(policy.max_delay, delay) *
-                       (1.0 + policy.jitter * rng.random()))
-            delay *= policy.factor
+            return find_latest_verified_checkpoint(ckpt_dir, injector)
+        except OSError:
+            return None
 
 
 def verify_checkpoint(path: str):
@@ -186,36 +222,15 @@ class ResilientRunResult:
         return dict(self.injector.counters) if self.injector else {}
 
 
-def _classify_failure(exc: BaseException, plan: FaultPlan) -> tuple[str, BaseException]:
-    """Map a world failure to a taxonomy kind; returns (kind, primary)."""
-    from ..cluster.mpi_sim import CommTimeoutError, WorldError
+#: Failure kinds whose resilience counters carry a fault-plan name.
+_FAULT_NAMES = {"ckpt_corrupt": "ckpt_bitflip", "error": "unknown"}
 
-    primary = exc
-    if isinstance(exc, WorldError):
-        prim = exc.primary_failures or exc.failures
-        primary = next(iter(prim.values()))
-        for e in prim.values():  # the most specific cause wins
-            if isinstance(e, InjectedRankCrash):
-                return "rank_crash", e
-        # Real process loss on the procs backend (e.g. an injected
-        # SIGKILL): the rank is gone, same recovery path as a crash.
-        from ..cluster.procs import RankLostError
 
-        for e in prim.values():
-            if isinstance(e, RankLostError):
-                return "rank_crash", e
-        from .detect import HaloCorruptionError
-
-        for e in prim.values():
-            if isinstance(e, HaloCorruptionError):
-                return "msg_corrupt", e
-        for e in prim.values():
-            if isinstance(e, CommTimeoutError):
-                kind = "msg_drop" if "msg_drop" in plan.kinds() else "timeout"
-                return kind, e
-    if isinstance(primary, CheckpointCorruptError):
-        return "ckpt_bitflip", primary
-    return "unknown", primary
+def _fault_name(kind: str, plan: FaultPlan) -> str:
+    """The fault-plan name a failure kind is counted under (str)."""
+    if kind in ("deadlock", "comm_timeout"):
+        return "msg_drop" if "msg_drop" in plan.kinds() else "timeout"
+    return _FAULT_NAMES.get(kind, kind)
 
 
 class ResilientSimulation:
@@ -224,7 +239,8 @@ class ResilientSimulation:
     Wraps :class:`repro.cluster.driver.Simulation`.  On a
     :class:`~repro.cluster.mpi_sim.WorldError` the supervisor
 
-    1. classifies and counts the failure (``detected_<kind>``),
+    1. classifies the failure through :func:`repro.exitcodes.classify`
+       and counts it under its fault-plan name (``detected_<kind>``),
     2. locates the newest *verified* checkpoint generation in
        ``config.checkpoint_dir`` (corrupt generations fall back),
     3. relaunches from it -- optionally on a shrunk, still-feasible rank
@@ -233,8 +249,8 @@ class ResilientSimulation:
     4. gives up with :class:`ResilienceExhaustedError` after
        ``config.max_recoveries`` recoveries.
 
-    Numerics violations (a deterministic divergence would simply recur)
-    propagate immediately.
+    Non-retryable failures (numerics violations, invalid configs: a
+    deterministic failure would simply recur) propagate immediately.
     """
 
     def __init__(self, config, ic_fn, restart_from: str | None = None,
@@ -266,13 +282,14 @@ class ResilientSimulation:
         from ..cluster.mpi_sim import WorldError
 
         inj = self.injector
+        # Rollbacks relaunch at once: no contended resource to back off
+        # from, so this loop never draws a delay.
+        policy = BackoffPolicy(max_attempts=self.config.max_recoveries + 1)
         events: list[RecoveryEvent] = []
         restart = self.restart_from
         ranks = self.config.ranks
-        attempt = 0
         t_campaign = wall_now()
-        while True:
-            attempt += 1
+        for attempt in itertools.count(1):
             cfg = replace(self.config, ranks=ranks) \
                 if ranks != self.config.ranks else self.config
             sim = Simulation(cfg, self.ic_fn, restart_from=restart,
@@ -280,27 +297,17 @@ class ResilientSimulation:
             t_attempt = wall_now()
             try:
                 result = sim.run()
-                total = wall_now() - t_campaign
-                final = wall_now() - t_attempt
-                inj.set_counter("recovery_attempts", attempt - 1)
-                return ResilientRunResult(
-                    result=result,
-                    attempts=attempt,
-                    events=events,
-                    injector=inj,
-                    total_wall_seconds=total,
-                    final_wall_seconds=final,
-                )
             except WorldError as we:
                 lost = wall_now() - t_attempt
-                kind, primary = _classify_failure(we, inj.plan)
+                failure = classify(we)
+                kind = _fault_name(failure.kind, inj.plan)
                 inj.detected(kind)
-                if len(events) >= self.config.max_recoveries:
+                verdict = policy.decide(failure, attempt)
+                if verdict == "fail":
+                    raise
+                if verdict == "exhausted":
                     raise ResilienceExhaustedError(events, we) from we
-
-                found = find_latest_verified_checkpoint(
-                    cfg.checkpoint_dir, injector=inj
-                )
+                found = policy.resume(cfg.checkpoint_dir, inj)
                 if found is None:
                     restart, ckpt_step, action = None, None, "restart_scratch"
                 else:
@@ -312,7 +319,7 @@ class ResilientSimulation:
                 events.append(RecoveryEvent(
                     attempt=attempt,
                     kind=kind,
-                    cause=repr(primary),
+                    cause=repr(failure.cause),
                     action=action,
                     checkpoint_step=ckpt_step,
                     ranks=ranks,
@@ -320,6 +327,16 @@ class ResilientSimulation:
                 ))
                 inj.recovered(kind)
                 inj.count("rollbacks")
+                continue
+            inj.set_counter("recovery_attempts", attempt - 1)
+            return ResilientRunResult(
+                result=result,
+                attempts=attempt,
+                events=events,
+                injector=inj,
+                total_wall_seconds=wall_now() - t_campaign,
+                final_wall_seconds=wall_now() - t_attempt,
+            )
 
 
 def prune_stale_tmp(ckpt_dir: str) -> int:

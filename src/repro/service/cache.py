@@ -13,9 +13,9 @@ renamed aside (``.quarantined``), counted, and reported as a miss so the
 engine transparently recomputes; a corrupt entry is never served and
 never poisons later lookups.
 
-Writes are atomic (temp file + ``os.replace``) following the checkpoint
-writer's discipline, so a crash mid-write leaves either the previous
-generation or a sweepable ``.tmp``, never a half entry.
+Writes go through :func:`~repro.resilience.durable.atomic_write`, so a
+crash mid-write leaves either the previous generation or a sweepable
+``.tmp``, never a half entry.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import struct
 import threading
 import zlib
 
+from ..resilience.durable import atomic_write
 from ..telemetry.log import get_logger
 
 MAGIC = b"RSC1"
@@ -101,15 +102,8 @@ class ResultCache:
             payload_bytes = self.injector.corrupt_checkpoint_payload(
                 -1, -1, payload_bytes
             )
-        path = self.path(key)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(record)
-            f.write(meta_bytes)
-            f.write(payload_bytes)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
+        path = atomic_write(self.path(key), record, meta_bytes,
+                            payload_bytes)
         self._count("writes")
         self._log.debug("cache_put", key=key[:16],
                         bytes=len(payload_bytes))

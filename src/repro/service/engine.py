@@ -14,10 +14,11 @@ same gauntlet:
 5. **supervised execution** -- a worker-pool process computes the job
    under heartbeat liveness, per-job wall-clock timeout, and (for
    chaos plans) parent-side SIGKILL delivery;
-6. **bounded retry** -- failed attempts retry on a *fresh* worker with
-   exponential backoff + decorrelated jitter, resuming from the newest
-   verified checkpoint when checkpointing is on, until the attempt
-   budget is spent or the breaker opens.
+6. **bounded retry** -- failed attempts retry on a *fresh* worker under
+   the shared :class:`~repro.resilience.recover.BackoffPolicy` (failure
+   table, attempt budget, decorrelated-jitter delays, injector reseed,
+   resume from the newest verified checkpoint when checkpointing is on)
+   until the budget is spent or the breaker opens.
 
 The supervisor is one thread owning all scheduling state; workers are
 real processes (see :mod:`repro.service.workers`).
@@ -30,15 +31,17 @@ import queue as queue_mod
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from ..exitcodes import lookup
 from ..resilience.inject import FaultInjector
 from ..resilience.plan import FaultPlan
+from ..resilience.recover import BackoffPolicy
 from ..telemetry.log import get_logger
 from .cache import ResultCache
 from .queue import AdmissionQueue
 from .request import JobRequest
-from .retry import BackoffPolicy, CircuitBreaker
+from .retry import CircuitBreaker
 from .workers import WorkerPool
 
 #: Job lifecycle states.
@@ -128,13 +131,6 @@ class ServiceConfig:
     #: Steps between retry-resume checkpoints; 0 = retry from scratch
     #: (full diagnostics series -- see docs/service.md for the tradeoff).
     checkpoint_interval: int = 0
-    #: Replace a worker after a failed attempt so the retry lands on a
-    #: fresh process (also what makes breaker streaks distinct-worker).
-    retire_failed_workers: bool = True
-    #: Whether the engine delivers plan ``rank_crash`` SIGKILLs itself;
-    #: None = auto (yes for the sim backend, no for procs whose own
-    #: parent supervisor delivers them inside the worker).
-    supervise_kills: bool | None = None
     #: Service-level chaos plan (cache-write corruption via
     #: ``ckpt_bitflip`` specs addressed at rank -1); per-job faults
     #: travel with ``submit(..., fault_plan=...)`` instead.
@@ -162,16 +158,17 @@ class _Job:
     payload: dict  #: request.to_payload(), built once
     priority: int
     timeout: float | None
-    max_attempts: int
+    policy: BackoffPolicy  #: the service policy, budget overridable per job
     injector: FaultInjector
+    #: the engine delivers plan ``rank_crash`` SIGKILLs itself (sim
+    #: backend); procs jobs' own parent supervisor delivers them inside
+    #: the worker
     supervise: bool
     checkpoint_dir: str
     delays: object  #: backoff delay stream
     status: str = QUEUED
     attempts: int = 0
     not_before: float = 0.0
-    worker_ids: list = field(default_factory=list)
-    failure_kinds: list = field(default_factory=list)
     result: JobResult | None = None
     error: BaseException | None = None
     done: threading.Event = field(default_factory=threading.Event)
@@ -380,9 +377,9 @@ class JobEngine:
         cfg = self.config
         seq = self._next_seq
         self._next_seq += 1
-        supervise = cfg.supervise_kills
-        if supervise is None:
-            supervise = request.config.cluster_backend == "sim"
+        policy = cfg.backoff
+        if max_attempts is not None:
+            policy = replace(policy, max_attempts=max_attempts)
         job = _Job(
             seq=seq,
             key=key,
@@ -390,14 +387,13 @@ class JobEngine:
             payload=payload,
             priority=priority,
             timeout=cfg.job_timeout if timeout is None else timeout,
-            max_attempts=(cfg.backoff.max_attempts
-                          if max_attempts is None else max_attempts),
+            policy=policy,
             injector=FaultInjector(fault_plan),
-            supervise=bool(supervise),
+            supervise=request.config.cluster_backend == "sim",
             checkpoint_dir=os.path.join(
                 cfg.workdir, f"job-{seq:04d}-{key[:12]}"
             ),
-            delays=cfg.backoff.delays(f"{cfg.seed}:{key[:16]}:{seq}"),
+            delays=policy.delays(f"{cfg.seed}:{key[:16]}:{seq}"),
         )
         self._jobs[seq] = job
         self._active_by_key[key] = job
@@ -411,7 +407,8 @@ class JobEngine:
         self._next_seq += 1
         job = _Job(
             seq=seq, key=key, request=request, payload={}, priority=0,
-            timeout=None, max_attempts=0, injector=FaultInjector(),
+            timeout=None, policy=self.config.backoff,
+            injector=FaultInjector(),
             supervise=False, checkpoint_dir="", delays=iter(()),
             status=status, attempts=attempts, error=error,
         )
@@ -498,17 +495,15 @@ class JobEngine:
                     write_back = job
                 else:
                     # Graceful failure: retire the worker so any retry
-                    # lands on a fresh process.
-                    if (worker is not None
-                            and self.config.retire_failed_workers
-                            and worker.alive):
+                    # lands on a fresh process (which is also what makes
+                    # breaker streaks distinct-worker).
+                    if worker is not None and worker.alive:
                         self.pool.retire(worker)
                     self._attempt_failed_locked(
-                        job, wid, body["kind"], body["retryable"],
-                        body.get("cause", ""),
+                        job, wid, body["kind"], body.get("cause", ""),
                     )
             if write_back is not None:
-                # Cache persistence is disk IO (tmp + fsync + replace):
+                # Cache persistence is disk IO (atomic_write):
                 # it runs with the engine lock dropped, but *before*
                 # the job is marked done -- a waiter that resubmits on
                 # wake must find the entry already durable.
@@ -527,12 +522,9 @@ class JobEngine:
         self.cache.put(job.key, payload, meta)
 
     def _attempt_failed_locked(self, job: _Job, worker_id: int,
-                               kind: str, retryable: bool,
-                               cause: str) -> None:
+                               kind: str, cause: str) -> None:
         self.failures_by_kind[kind] = \
             self.failures_by_kind.get(kind, 0) + 1
-        job.worker_ids.append(worker_id)
-        job.failure_kinds.append(kind)
         opened = self.breaker.record_failure(job.key, worker_id, kind)
         self._log.warn("attempt_failed", seq=job.seq, key=job.key[:16],
                        attempt=job.attempts, kind=kind, worker=worker_id,
@@ -543,12 +535,13 @@ class JobEngine:
             self.counters["poisoned"] += 1
             self._fail_locked(job, self.breaker.error(job.key), POISONED)
             return
-        if not retryable:
+        verdict = job.policy.decide(lookup(kind), job.attempts)
+        if verdict == "fail":
             self._fail_locked(
                 job, JobFailedError(kind, cause, job.attempts), FAILED
             )
             return
-        if job.attempts >= job.max_attempts:
+        if verdict == "exhausted":
             self.counters["exhausted"] += 1
             self._fail_locked(
                 job,
@@ -595,7 +588,7 @@ class JobEngine:
                 with self._lock:
                     if not job.done.is_set():
                         self._attempt_failed_locked(
-                            job, worker.id, kind, True,
+                            job, worker.id, kind,
                             f"worker {worker.id} died ({kind})",
                         )
                 continue
@@ -667,26 +660,13 @@ class JobEngine:
             job.attempts += 1
             attempt = job.attempts
             job.status = RUNNING
-        clone = job.injector.child_clone(
-            disable_kinds=("rank_crash",) if job.supervise else ()
+        clone = job.policy.attempt_injector(
+            job.injector, attempt,
+            disable_kinds=("rank_crash",) if job.supervise else (),
         )
-        if attempt > 1:
-            # Retry determinism: re-derive the chaos RNG streams so a
-            # probabilistic fault consumed by luck does not refire by
-            # the same luck; the physics seed lives in the request and
-            # is untouched.
-            clone.reseed(attempt)
         restart = job.request.restart_from
         if attempt > 1 and cfg.checkpoint_interval > 0:
-            found = None
-            try:
-                from ..resilience.recover import \
-                    find_latest_verified_checkpoint
-                found = find_latest_verified_checkpoint(
-                    job.checkpoint_dir, injector=job.injector
-                )
-            except OSError:
-                found = None
+            found = job.policy.resume(job.checkpoint_dir, job.injector)
             if found is not None:
                 restart = found[1]
                 self._log.info("retry_resume", seq=job.seq,

@@ -1,71 +1,18 @@
-"""Retry scheduling and circuit breaking for the job service.
+"""Circuit breaking for the job service.
 
-Two policies, both deterministic per seed so chaos acceptance tests
-replay exactly:
-
-* :class:`BackoffPolicy` -- bounded retry with exponential backoff and
-  *decorrelated jitter*: each delay is drawn uniformly from
-  ``[base, min(cap, 3 * previous)]``.  Decorrelated jitter spreads a
-  thundering herd of retries better than plain jittered exponential
-  (retries of jobs that failed together stop being synchronized after
-  the first draw) while keeping the exponential envelope.
-* :class:`CircuitBreaker` -- per-request-key quarantine of poison
-  configs: a request whose attempts keep failing on *distinct* workers
-  is the problem itself (not an unlucky worker) and gets its circuit
-  opened after ``threshold`` distinct-worker consecutive failures;
-  further attempts and submissions fail fast instead of burning the
-  pool.
+:class:`CircuitBreaker` is a per-request-key quarantine of poison
+configs: a request whose attempts keep failing on *distinct* workers is
+the problem itself (not an unlucky worker) and gets its circuit opened
+after ``threshold`` distinct-worker consecutive failures; further
+attempts and submissions fail fast instead of burning the pool.  Retry
+scheduling is the shared
+:class:`~repro.resilience.recover.BackoffPolicy`.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class BackoffPolicy:
-    """Bounded retry with exponential backoff + decorrelated jitter.
-
-    ``max_attempts`` bounds *total* attempts per job (first try
-    included); delays between them follow the decorrelated-jitter
-    recurrence seeded per job, so two runs of the same chaos plan
-    produce the same retry schedule.
-    """
-
-    max_attempts: int = 3
-    base_delay: float = 0.05
-    max_delay: float = 2.0
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay <= 0 or self.max_delay < self.base_delay:
-            raise ValueError("need 0 < base_delay <= max_delay")
-
-    def delays(self, seed) -> "_DelayStream":
-        """The per-job delay stream (iterator of float seconds)."""
-        return _DelayStream(self, seed)
-
-
-class _DelayStream:
-    """Stateful decorrelated-jitter sequence for one job."""
-
-    def __init__(self, policy: BackoffPolicy, seed):
-        self._policy = policy
-        self._rng = random.Random(f"service-backoff:{seed}")
-        self._prev = policy.base_delay
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> float:
-        p = self._policy
-        d = self._rng.uniform(p.base_delay,
-                              min(p.max_delay, 3.0 * self._prev))
-        self._prev = d
-        return d
 
 
 class PoisonedConfigError(RuntimeError):

@@ -14,9 +14,10 @@ shared array -- through two channels:
   deliver *real* ``SIGKILL``\\ s at addressed steps -- the same idiom as
   :class:`repro.cluster.procs.ProcsWorld`).
 
-A worker never decides retry policy: it classifies its failure into the
-service taxonomy (:func:`classify_failure`), ships the fault ledger
-(counter deltas + consumed-hit state) home, and lets the engine decide.
+A worker never decides retry policy: it classifies its failure through
+the failure table (:func:`repro.exitcodes.classify`), ships the kind and
+the fault ledger (counter deltas + consumed-hit state) home, and lets
+the engine decide.
 """
 
 from __future__ import annotations
@@ -32,49 +33,6 @@ import numpy as np
 #: Heartbeat array slots (doubles in a shared Array).
 HB_SEQ, HB_RANK, HB_STEP, HB_BEAT, HB_BUSY = range(5)
 HB_SLOTS = 5
-
-#: Failure kinds that must not be retried: the fault is deterministic
-#: in the request itself, so a retry would reproduce it exactly.
-NON_RETRYABLE = frozenset({"numerics", "invalid"})
-
-
-def classify_failure(exc: BaseException) -> tuple[str, bool]:
-    """Map a job exception to ``(kind, retryable)``.
-
-    SPMD wrappers are unwrapped to their most specific primary cause;
-    the kind vocabulary is shared with
-    :data:`repro.exitcodes.KIND_EXIT` so ``repro serve`` exits with the
-    matching taxonomy code.
-    """
-    from ..analysis.sanitizer import NumericsViolationError
-    from ..cluster.mpi_sim import CommTimeoutError, DeadlockError, WorldError
-    from ..cluster.procs import RankLostError
-    from ..resilience.detect import CheckpointCorruptError, HaloCorruptionError
-    from ..resilience.inject import InjectedRankCrash
-    from .request import RequestError
-
-    if isinstance(exc, WorldError):
-        prim = list((exc.primary_failures or exc.failures).values())
-        ranked = sorted((classify_failure(e) for e in prim),
-                        key=lambda kr: kr[0] == "error")
-        if ranked:
-            return ranked[0]
-        return "error", True
-    checks: tuple[tuple[type, str, bool], ...] = (
-        (InjectedRankCrash, "rank_crash", True),
-        (RankLostError, "rank_crash", True),
-        (DeadlockError, "deadlock", True),
-        (HaloCorruptionError, "msg_corrupt", True),
-        (CommTimeoutError, "comm_timeout", True),
-        (CheckpointCorruptError, "ckpt_corrupt", True),
-        (NumericsViolationError, "numerics", False),
-        (RequestError, "invalid", False),
-        (ValueError, "invalid", False),
-    )
-    for typ, kind, retryable in checks:
-        if isinstance(exc, typ):
-            return kind, retryable
-    return "error", True
 
 
 def result_payload(result) -> dict:
@@ -140,6 +98,7 @@ def worker_main(worker_id: int, task_q, result_q, hb) -> None:
     engine can merge consumed hits even for failed attempts (a retry
     must not refire a consumed transient fault).
     """
+    from ..exitcodes import classify
     from ..resilience.inject import FaultInjector
 
     while True:
@@ -176,10 +135,8 @@ def worker_main(worker_id: int, task_q, result_q, hb) -> None:
             payload = _run_task(task, injector)
             status, body = "ok", payload
         except BaseException as exc:  # lint: disable=CL005 -- ships home as data
-            kind, retryable = classify_failure(exc)
             status = "fail"
-            body = {"kind": kind, "retryable": retryable,
-                    "cause": repr(exc)[:2000]}
+            body = {"kind": classify(exc).kind, "cause": repr(exc)[:2000]}
         finally:
             stop_tick.set()
             ticker.join(timeout=1.0)
@@ -315,18 +272,15 @@ class WorkerPool:
     def retire(self, worker: WorkerHandle) -> WorkerHandle:
         """Gracefully replace an (idle) worker; returns the new handle.
 
-        Used after a failed attempt so the retry lands on a *fresh*
+        Used after every failed attempt so the retry lands on a *fresh*
         worker: the old one gets the stop sentinel and is joined
         opportunistically by :meth:`reap`.
         """
-        self.workers.pop(worker.id, None)
         try:
             worker.task_q.put(None)
         except (OSError, ValueError):
             pass
-        self._retiring.append(worker)
-        self.restarts += 1
-        return self._spawn()
+        return self.replace(worker)
 
     def reap(self) -> None:
         """Join exited retirees without blocking the supervisor."""

@@ -11,7 +11,8 @@ an uninterrupted run, which the tests assert.
 
 Campaigns are hardened against segment failures: a failed segment is
 retried from the last good boundary checkpoint (bounded by
-``max_segment_retries``), per-segment outcomes are recorded on
+``max_segment_retries``; a non-retryable failure such as a numerics
+violation stops at once), per-segment outcomes are recorded on
 :class:`SegmentRecord` (``ok`` / ``retried`` / ``failed``), and an
 exhausted campaign returns the *partial* result (``ok=False``) instead
 of losing the completed segments.  Segments can also fan out through
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..resilience.recover import BackoffPolicy
 from .config import SimulationConfig
 
 
@@ -40,7 +42,7 @@ class SegmentRecord:
     checkpoint: str | None
     ranks: int
     #: "ok" (first try), "retried" (succeeded after >= 1 retry) or
-    #: "failed" (retry budget exhausted; the campaign stopped here).
+    #: "failed" (not retryable or budget spent; the campaign stopped).
     status: str = "ok"
     attempts: int = 1
 
@@ -92,8 +94,8 @@ class Campaign:
     workdir:
         Directory for the segment checkpoints.
     max_segment_retries:
-        Retries per segment (beyond the first attempt) before the
-        campaign gives up and returns the partial result.
+        Retries per segment (beyond the first attempt) of a retryable
+        failure before the campaign returns the partial result.
     fault_plan:
         Optional chaos plan armed across the whole campaign: consumed
         hits persist across segment retries (a ``max_hits``-bounded
@@ -113,7 +115,9 @@ class Campaign:
         self.workdir = workdir
         if max_segment_retries < 0:
             raise ValueError("max_segment_retries must be >= 0")
-        self.max_segment_retries = max_segment_retries
+        # Segments relaunch at once from their boundary checkpoint (the
+        # loop never draws a delay).
+        self.policy = BackoffPolicy(max_attempts=max_segment_retries + 1)
         self.fault_plan = fault_plan
         self.engine = engine
         if engine is not None:
@@ -150,6 +154,7 @@ class Campaign:
         """
         from ..cluster.checkpoint import write_checkpoint
         from ..cluster.mpi_sim import SimWorld
+        from ..exitcodes import classify
         from ..telemetry.log import get_logger
 
         if total_steps < 1 or segment_steps < 1:
@@ -176,17 +181,21 @@ class Campaign:
             result = None
             attempts = 0
             last_error: BaseException | None = None
-            while result is None and attempts <= self.max_segment_retries:
+            verdict = "retry"
+            while result is None and verdict == "retry":
                 attempts += 1
                 try:
                     result = self._run_segment(cfg, restart, injector,
                                                attempts)
                 except Exception as exc:
                     last_error = exc
+                    failure = classify(exc)
+                    verdict = self.policy.decide(failure, attempts)
                     log.warn("segment_failed", segment=i,
-                             attempt=attempts, err=repr(exc)[:200])
+                             attempt=attempts, kind=failure.kind,
+                             err=repr(exc)[:200])
             if result is None:
-                # Budget spent: record the failure, keep what we have.
+                # Record the failure, keep what we have.
                 out.segments.append(SegmentRecord(
                     index=i, first_step=0, last_step=last_step,
                     checkpoint=None, ranks=ranks, status="failed",
@@ -243,9 +252,7 @@ class Campaign:
         if injector is not None:
             # Same campaign-level ledger across retries (consumed hits
             # stay consumed), fresh probabilistic streams per attempt.
-            seg_injector = injector.child_clone()
-            if attempt > 1:
-                seg_injector.reseed(attempt)
+            seg_injector = self.policy.attempt_injector(injector, attempt)
         sim = Simulation(cfg, self.ic_fn, restart_from=restart,
                          injector=seg_injector)
         try:

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..physics.state import COMPUTE_DTYPE, STORAGE_DTYPE
+from ..resilience.durable import atomic_write
 
 #: Directory of the committed golden baselines.
 DEFAULT_BASELINE_DIR = os.path.join(os.path.dirname(__file__), "baselines")
@@ -150,18 +151,13 @@ def save_baseline(
 ) -> str:
     """Write a baseline file (creating the directory); returns its path.
 
-    Atomic (tmp + fsync + ``os.replace``): baselines gate the
-    validation suite, so a half-written JSON must never be observable.
+    Written through :func:`~repro.resilience.durable.atomic_write`:
+    baselines gate the validation suite, so a half-written JSON must
+    never be observable.
     """
     path = baseline_path(baseline.case, baseline_dir)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(baseline.to_json())
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
+    return atomic_write(path, baseline.to_json().encode("utf-8"))
 
 
 def load_baseline(

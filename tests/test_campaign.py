@@ -133,6 +133,37 @@ class TestCampaignHardening:
         assert not result.ok
         assert result.segments[0].attempts == 1
 
+    @pytest.mark.parametrize("kind", ["numerics", "invalid"])
+    def test_non_retryable_failure_is_not_retried(self, tmp_path, kind):
+        # A deterministic failure would recur on every retry: the
+        # campaign stops at the first one despite its retry budget.
+        calls = []
+        if kind == "numerics":
+            # Negative ambient pressure trips the raise-policy sanitizer
+            # at the initial condition of every block.
+            ic = cloud_collapse([Bubble((0.5, 0.5, 0.5), 0.2)],
+                                p_liquid=-50.0)
+            config = base_config(sanitize="raise")
+        else:
+            def ic(*args, **kwargs):
+                raise ValueError("invalid initial condition")
+            config = base_config()
+
+        def counting_ic(*args, **kwargs):
+            calls.append(1)
+            return ic(*args, **kwargs)
+
+        campaign = Campaign(config, counting_ic, str(tmp_path),
+                            max_segment_retries=2)
+        result = campaign.run(total_steps=4, segment_steps=2)
+        assert not result.ok
+        assert [s.status for s in result.segments] == ["failed"]
+        assert result.segments[0].attempts == 1
+        assert "after 1 attempt(s)" in result.error
+        # One attempt: the IC ran once per block (numerics) or failed
+        # at its first call (invalid).
+        assert len(calls) == ((16 // 8) ** 3 if kind == "numerics" else 1)
+
     def test_engine_campaign_requires_icspec(self, tmp_path):
         with pytest.raises(ValueError, match="ICSpec"):
             Campaign(base_config(), IC, str(tmp_path), engine=object())

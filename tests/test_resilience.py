@@ -30,6 +30,7 @@ from repro.cluster import (
 )
 from repro.resilience import (
     MAX_RECOVERY_OVERHEAD,
+    BackoffPolicy,
     CheckpointCorruptError,
     FaultInjector,
     FaultPlan,
@@ -38,14 +39,12 @@ from repro.resilience import (
     HaloFrame,
     ResilienceExhaustedError,
     ResilientSimulation,
-    RetryPolicy,
     TransientCommError,
     all_faults_recovered,
     crc32_array,
     find_latest_verified_checkpoint,
     format_resilience_scorecard,
     prune_stale_tmp,
-    retry_transient,
     screen_restored_state,
 )
 from repro.sim import SimulationConfig
@@ -161,17 +160,17 @@ class TestRetry:
                 raise TransientCommError("flap")
             return "ok"
 
-        policy = RetryPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0)
-        assert retry_transient(flaky, policy) == "ok"
+        policy = BackoffPolicy(max_attempts=3, base_delay=0.0, max_delay=0.0)
+        assert policy.call(flaky, seed=0) == "ok"
         assert calls["n"] == 3
 
     def test_exhaustion_reraises(self):
         def always():
             raise TransientCommError("down")
 
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0)
+        policy = BackoffPolicy(max_attempts=2, base_delay=0.0, max_delay=0.0)
         with pytest.raises(TransientCommError):
-            retry_transient(always, policy)
+            policy.call(always, seed=0)
 
     def test_non_transient_propagates_immediately(self):
         calls = {"n": 0}
@@ -181,7 +180,7 @@ class TestRetry:
             raise ValueError("not transient")
 
         with pytest.raises(ValueError):
-            retry_transient(boom, RetryPolicy(max_attempts=5, base_delay=0.0))
+            BackoffPolicy(max_attempts=5, base_delay=0.0).call(boom, seed=0)
         assert calls["n"] == 1
 
     def test_in_halo_path(self, tmp_path):

@@ -1,31 +1,16 @@
-"""Tests of service policies: backoff, circuit breaker, admission, exits."""
+"""Tests of service policies: backoff, circuit breaker, admission.
+
+The exit-code / failure-kind table is tested in ``test_exitcodes.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cluster.mpi_sim import DeadlockError, WorldError
-from repro.cluster.procs import RankLostError
-from repro.exitcodes import (
-    EXIT_DATA_CORRUPT,
-    EXIT_DEADLOCK,
-    EXIT_EXHAUSTED,
-    EXIT_FAILURE,
-    EXIT_INVALID,
-    EXIT_NUMERICS,
-    EXIT_OVERLOAD,
-    EXIT_POISONED,
-    EXIT_RANK_LOST,
-    KIND_EXIT,
-    NAMES,
-    classify_exit,
-)
 from repro.service import (
     AdmissionQueue,
     BackoffPolicy,
     CircuitBreaker,
-    JobFailedError,
-    JobShedError,
     PoisonedConfigError,
 )
 
@@ -165,43 +150,3 @@ class TestAdmissionQueue:
             AdmissionQueue(max_pending=0)
         with pytest.raises(ValueError):
             AdmissionQueue(park_capacity=-1)
-
-
-class TestExitCodes:
-    def test_every_code_named(self):
-        for code in KIND_EXIT.values():
-            assert code in NAMES
-
-    def test_direct_classification(self):
-        cases = [
-            (PoisonedConfigError("k" * 64, (0, 1), ("rank_crash",) * 2),
-             EXIT_POISONED),
-            (JobShedError(), EXIT_OVERLOAD),
-            (DeadlockError("stuck", report=""), EXIT_DEADLOCK),
-            (RankLostError("gone"), EXIT_RANK_LOST),
-            (ValueError("bad config"), EXIT_INVALID),
-            (RuntimeError("???"), EXIT_FAILURE),
-        ]
-        for exc, expected in cases:
-            code, name = classify_exit(exc)
-            assert code == expected, exc
-            assert name == NAMES[expected]
-
-    def test_job_failed_maps_through_kind(self):
-        assert classify_exit(JobFailedError("deadlock"))[0] == EXIT_DEADLOCK
-        assert classify_exit(JobFailedError("rank_crash"))[0] == EXIT_RANK_LOST
-        assert classify_exit(JobFailedError("exhausted"))[0] == EXIT_EXHAUSTED
-        assert classify_exit(JobFailedError("numerics"))[0] == EXIT_NUMERICS
-        assert classify_exit(JobFailedError("ckpt_corrupt"))[0] == \
-            EXIT_DATA_CORRUPT
-        assert classify_exit(JobFailedError("mystery"))[0] == EXIT_FAILURE
-
-    def test_world_error_unwraps_to_primary(self):
-        werr = WorldError({0: RankLostError("rank 0 died"),
-                           1: RuntimeError("collateral")})
-        code, name = classify_exit(werr)
-        assert code == EXIT_RANK_LOST
-
-    def test_codes_avoid_signal_range(self):
-        for code in NAMES:
-            assert 0 <= code < 126

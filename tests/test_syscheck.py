@@ -429,7 +429,9 @@ class TestRS006:
         """, path=CACHE)
         assert "RS006" in rules_fired(report)
 
-    def test_tmp_fsync_replace_is_clean(self):
+    def test_hand_rolled_tmp_fsync_replace_fires(self):
+        # A hand-rolled tmp + fsync + os.replace never fsyncs the
+        # directory: durable writers go through atomic_write.
         report = run("""
             import os
 
@@ -440,6 +442,58 @@ class TestRS006:
                     fh.flush()
                     os.fsync(fh.fileno())
                 os.replace(tmp, path)
+        """, path=CACHE)
+        fired = [v for v in report.violations if v.rule == "RS006"]
+        assert fired and "atomic_write" in fired[0].message
+
+    def test_atomic_write_is_clean(self):
+        report = run("""
+            from repro.resilience.durable import atomic_write
+
+            def save(path, data):
+                atomic_write(path, data)
+        """, path=CACHE)
+        assert "RS006" not in rules_fired(report)
+
+    def test_fsynced_tmp_promoted_by_atomic_replace_is_clean(self):
+        # The collective checkpoint writer's shape: ranks write and
+        # fsync the tmp, one promotes it through the helper's rename.
+        report = run("""
+            import os
+
+            from repro.resilience.durable import atomic_replace
+
+            def save(path, data):
+                tmp = path + ".tmp"
+                with open(tmp, "wb") as fh:
+                    fh.write(data)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+                atomic_replace(tmp, path)
+        """, path=CACHE)
+        assert "RS006" not in rules_fired(report)
+
+    def test_atomic_replace_without_fsync_fires(self):
+        report = run("""
+            from repro.resilience.durable import atomic_replace
+
+            def save(path, data):
+                tmp = path + ".tmp"
+                with open(tmp, "wb") as fh:
+                    fh.write(data)
+                atomic_replace(tmp, path)
+        """, path=CACHE)
+        fired = [v for v in report.violations if v.rule == "RS006"]
+        assert fired and "fsync" in fired[0].message
+
+    def test_quarantine_move_is_clean(self):
+        # A rename of an existing file (no write) is a move, not a
+        # durable write.
+        report = run("""
+            import os
+
+            def quarantine(path):
+                os.replace(path, path + ".quarantined")
         """, path=CACHE)
         assert "RS006" not in rules_fired(report)
 
